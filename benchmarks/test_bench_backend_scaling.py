@@ -1,14 +1,15 @@
 """Backend scaling — threads vs processes vs sharded on a 1000-cell campaign.
 
-The execution backends promise that the campaign's wall-clock story is the
-only thing they change: a 1000-cell synthetic campaign (5 configurations x
-200 rounds of a scaled-down HERMES) must produce run documents, history
-ledger events and cache statistics bit-identical to the simulated backend
-— whether the DAG is dispatched on OS threads, bridged task-by-task to a
-process pool, or partitioned cell-wise into shards whose private journals
-are merged back into the parent cache.  The recorded artefact is the
-cells-vs-wall-seconds table for the three real execution strategies next
-to the simulated baseline.
+A backend decides only where a round's cell computation (the tests'
+executors) runs: inline (simulated), on a thread pool, in a process pool
+forked once per campaign with one task per cell, or round-robined over
+forked shard processes with one task per shard.  A 1000-cell synthetic
+campaign (5 configurations x 200 rounds of a scaled-down HERMES) must
+produce run documents, history ledger events and cache statistics
+bit-identical to the simulated backend on every one of them.  The recorded
+artefact is the cells-vs-wall-seconds table of the four backends.  Each
+round has only 5 cells, so at most 5 of a backend's slots are busy at
+once.
 """
 
 import time
@@ -121,9 +122,11 @@ def test_backend_scaling_1000_cells(benchmark):
         notes=(
             "run documents, catalogue records, history events (modulo the "
             "recorded backend name) and cache statistics are bit-identical "
-            "across all four backends; the sharded run partitioned "
-            f"{sharded_campaign.n_cells} cells over {SHARDS} shard "
-            "processes and merged their build-cache journals back into the "
-            "parent cache"
+            "across all four backends; builds and stamping run serially in "
+            "the parent, the tests' executors run where the backend maps "
+            "them: inline, on threads, in forked processes (one task per "
+            f"cell) or round-robined over {SHARDS} forked shard processes "
+            f"(one task per shard) for the sharded run's "
+            f"{sharded_campaign.n_cells} cells"
         ),
     )

@@ -12,16 +12,16 @@ to the sequential path; only the campaign's wall-clock story changes.
 
 The second half demonstrates the pluggable execution backends and the
 cross-campaign features: the same spec (serialised to JSON and back —
-exactly what ``campaign --spec file.json`` does) is replayed on the real
-wall-clock backends — threads (genuine ``BuildTask`` re-compilations on OS
-threads), processes (builds pickled to a child-process pool and
-digest-checked on return) and sharded (cells partitioned over worker
-processes whose private build-cache journals are merged back into the
-parent cache) — two experiments pinning the same external
-packages share builds through the experiment-agnostic content-addressed
-cache keys and warm-start each other across installations via the
-append-only ``buildcache`` journal, and the same campaign is scheduled
-under each pool policy to compare the dispatch orders.
+exactly what ``campaign --spec file.json`` does) is replayed on the
+backends that compute the cells' tests in parallel — threads (a thread
+pool), processes (child processes forked once per campaign, one task per
+cell) and sharded (each round's cells round-robined over forked shard
+processes) — with run documents identical to the simulated backend; two
+experiments pinning the same external packages share builds through the
+experiment-agnostic content-addressed cache keys and warm-start each other
+across installations via the append-only ``buildcache`` journal, and the
+same campaign is scheduled under each pool policy to compare the dispatch
+orders.
 
 Run with::
 
@@ -94,59 +94,28 @@ def main() -> None:
     if len(rows) > 10:
         print(f"  ... and {len(rows) - 10} more")
 
-    # -- simulated vs threads: the same spec on the real executor -------------
-    print("\nReplaying the identical spec on the wall-clock thread backend...")
-    # to_dict()/from_dict() is the same round trip `campaign --spec` uses.
-    threaded_spec = CampaignSpec.from_dict(
-        dict(spec.to_dict(), backend="threads")
-    )
-    threaded_system = _fresh_system()
-    threaded = threaded_system.submit(threaded_spec).result()
-    identical = (
-        [run.to_document() for run in threaded.runs()]
-        == [run.to_document() for run in campaign.runs()]
-    )
-    print(f"  backend {threaded.schedule.backend!r}: "
-          f"{len(threaded.schedule.assignments)} tasks really executed on "
-          f"{threaded.schedule.total_slots} threads in "
-          f"{threaded.schedule.makespan_seconds:.3f} wall-clock seconds "
-          f"(peak concurrency {threaded.schedule.peak_concurrent_tasks})")
-    print(f"  run documents identical to the simulated backend: {identical}")
-
-    # -- processes and shards: builds crossing the process boundary -----------
-    print("\nReplaying the identical spec on the process-pool backend "
-          "(builds pickled to child processes)...")
-    process_spec = CampaignSpec.from_dict(
-        dict(spec.to_dict(), backend="processes")
-    )
-    process_system = _fresh_system()
-    pooled = process_system.submit(process_spec).result()
-    identical = (
-        [run.to_document() for run in pooled.runs()]
-        == [run.to_document() for run in campaign.runs()]
-    )
-    print(f"  backend {pooled.schedule.backend!r}: builds executed in child "
-          f"processes, digest-checked by the parent, in "
-          f"{pooled.schedule.makespan_seconds:.3f} wall-clock seconds")
-    print(f"  run documents identical to the simulated backend: {identical}")
-
-    print("\nReplaying once more sharded: cells partitioned over 2 worker "
-          "processes, each journalling into a private storage...")
-    # Setting shards on a default spec selects the sharded backend; the
-    # parent merges every shard's build-cache journal on completion.
-    sharded_spec = CampaignSpec.from_dict(dict(spec.to_dict(), shards=2))
-    sharded_system = _fresh_system()
-    sharded = sharded_system.submit(sharded_spec).result()
-    identical = (
-        [run.to_document() for run in sharded.runs()]
-        == [run.to_document() for run in campaign.runs()]
-    )
-    print(f"  backend {sharded.schedule.backend!r}: "
-          f"{sharded.schedule.shards} shards, "
-          f"{len(sharded.schedule.assignments)} tasks, shard journals merged "
-          f"back into the parent cache in "
-          f"{sharded.schedule.makespan_seconds:.3f} wall-clock seconds")
-    print(f"  run documents identical to the simulated backend: {identical}")
+    # -- the same spec on the parallel backends -------------------------------
+    # Setting shards on a default spec selects the sharded backend.
+    replays = [
+        ("threads", dict(backend="threads"), "on a thread pool"),
+        ("processes", dict(backend="processes"), "in forked child processes"),
+        ("sharded", dict(shards=2), "round-robined over 2 forked shard processes"),
+    ]
+    for name, options, where in replays:
+        print(f"\nReplaying the identical spec on the {name} backend "
+              f"(tests computed {where})...")
+        # to_dict()/from_dict() is the same round trip `campaign --spec` uses.
+        replayed_spec = CampaignSpec.from_dict(dict(spec.to_dict(), **options))
+        replayed = _fresh_system().submit(replayed_spec).result()
+        identical = (
+            [run.to_document() for run in replayed.runs()]
+            == [run.to_document() for run in campaign.runs()]
+        )
+        print(f"  backend {replayed.schedule.backend!r}: "
+              f"{replayed.n_cells} cells, simulated makespan "
+              f"{replayed.schedule.makespan_seconds:,.0f} s on "
+              f"{replayed.schedule.total_slots} slots")
+        print(f"  run documents identical to the simulated backend: {identical}")
 
     # -- journal persistence and warm-start on a fresh installation -----------
     print("\nPersisting the build-cache journal and warm-starting a fresh "

@@ -2,9 +2,8 @@
 # CI entry point for the sp-system reproduction.
 #
 # Mirrors the staged check layout of the pyhc-actions compliance tooling:
-# cheap structural audits first, then the tier-1 suite, then the targeted
-# backend-parity shard, then the bench-trend gate and the headless example
-# smoke runs.  Stages:
+# cheap structural audits first, then the tier-1 suite, then the bench-trend
+# gate and the headless example smoke runs.  Stages:
 #
 #   1. bench marker audit — every test below benchmarks/ must carry the
 #      `bench` marker, or the tier-1 deselection (-m "not bench") would
@@ -13,10 +12,10 @@
 #      owned by the ValidationHistoryLedger: a raw put() into it would
 #      bypass the journal's idempotence and index bookkeeping, so no
 #      module outside src/repro/history/ may write the namespace literal.
-#   3. scheduler monotonic-clock audit — the wall-clock backends time
-#      their dispatch with time.monotonic(); a time.time() call in
-#      src/repro/scheduler/ would make schedules jump with NTP
-#      adjustments, so the wall clock is banned there outright.
+#   3. scheduler monotonic-clock audit — scheduler timings use
+#      time.monotonic(); a time.time() call in src/repro/scheduler/ would
+#      make them jump with NTP adjustments, so the wall clock is banned
+#      there outright.
 #   4. lifecycle-purity audit — automated intervention tickets and history
 #      ingestion are plugin-layer concerns: no module outside
 #      src/repro/plugins (and the owning core/history modules) may
@@ -32,17 +31,13 @@
 #      science layers (src/repro/hepdata/, src/repro/environment/) must
 #      not import repro.telemetry at all.
 #   7. tier-1 — the documented fast suite (ROADMAP.md):
-#      pytest -x -q -m "not bench"
-#   8. backend parity — the determinism suite re-run with an explicit
-#      backend shard (REPRO_PARITY_BACKENDS=simulated,threads,processes):
-#      pins that the process-pool backend, whose builds cross a pickle
-#      boundary, stays bit-identical even when CI trims the default
-#      all-backend matrix.
-#   9. bench-trends gate — `repro bench-trends check` compares the latest
+#      pytest -x -q -m "not bench"; its determinism suites run every
+#      backend.
+#   8. bench-trends gate — `repro bench-trends check` compares the latest
 #      recorded benchmark trend point of every series against the
 #      trailing median and fails on a regression past the threshold
 #      (a fresh checkout with no recorded series passes trivially).
-#  10. examples — headless smoke run of every examples/*.py script:
+#   9. examples — headless smoke run of every examples/*.py script:
 #      pytest -m examples
 #
 # Usage: scripts/ci.sh [--skip-examples]
@@ -51,7 +46,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-echo "== stage 1/10: bench marker audit =="
+echo "== stage 1/9: bench marker audit =="
 # Selecting "not bench" below benchmarks/ must collect nothing; any test id
 # in the output is a benchmark that escaped the marker.
 unmarked=$(python -m pytest benchmarks/ -m "not bench" --collect-only -q 2>/dev/null | grep -c "::" || true)
@@ -62,7 +57,7 @@ if [ "${unmarked}" -ne 0 ]; then
 fi
 echo "ok: every benchmarks/ test carries the bench marker"
 
-echo "== stage 2/10: history-ledger write audit =="
+echo "== stage 2/9: history-ledger write audit =="
 # Writers must go through the ledger API: no raw put into the 'history'
 # namespace (and no string-literal namespace handle to put through) outside
 # the owning package.  The same rule is enforced by tests/test_tooling_ci.py.
@@ -75,10 +70,9 @@ if [ -n "${violations}" ]; then
 fi
 echo "ok: every history-namespace writer goes through the ledger API"
 
-echo "== stage 3/10: scheduler monotonic-clock audit =="
-# Backend timelines are offsets from a campaign-local origin; time.time()
-# would tie them to a clock that NTP can step.  Only time.monotonic() is
-# allowed anywhere under src/repro/scheduler/.  The same rule is enforced
+echo "== stage 3/9: scheduler monotonic-clock audit =="
+# time.time() would tie scheduler timings to a clock that NTP can step.
+# Only time.monotonic() is allowed anywhere under src/repro/scheduler/.  The same rule is enforced
 # by tests/test_tooling_ci.py.
 clock_violations=$(grep -rn "time\.time(" src/repro/scheduler --include='*.py' || true)
 if [ -n "${clock_violations}" ]; then
@@ -89,7 +83,7 @@ if [ -n "${clock_violations}" ]; then
 fi
 echo "ok: the scheduler times itself with time.monotonic() only"
 
-echo "== stage 4/10: lifecycle-purity audit =="
+echo "== stage 4/9: lifecycle-purity audit =="
 # Automated tickets and history ingestion flow through the plugin layer:
 # no module outside src/repro/plugins (and the owning core/history modules)
 # may construct an InterventionTracker or call ingest_cycle directly, or
@@ -104,7 +98,7 @@ if [ -n "${lifecycle_violations}" ]; then
 fi
 echo "ok: tickets and history ingestion flow through the plugin layer"
 
-echo "== stage 5/10: service-purity audit =="
+echo "== stage 5/9: service-purity audit =="
 # The daemon layer queues, schedules and bills -- it never executes. A
 # backend or scheduler construction under src/repro/service/ would open a
 # second execution path around SPSystem.submit; a time.time() call would
@@ -119,7 +113,7 @@ if [ -n "${service_violations}" ]; then
 fi
 echo "ok: the service layer queues and bills; only SPSystem.submit executes"
 
-echo "== stage 6/10: telemetry-purity audit =="
+echo "== stage 6/9: telemetry-purity audit =="
 # Telemetry observes, it never participates.  The registry and tracer run
 # on injectable monotonic clocks — a time.time() call under
 # src/repro/telemetry/ would tie metric timestamps to a steppable wall
@@ -143,29 +137,21 @@ if [ -n "${telemetry_import_violations}" ]; then
 fi
 echo "ok: telemetry runs on monotonic clocks and the science layers stay instrumentation-free"
 
-echo "== stage 7/10: tier-1 test suite =="
+echo "== stage 7/9: tier-1 test suite =="
 python -m pytest -x -q -m "not bench"
 
-echo "== stage 8/10: backend parity (explicit shard) =="
-# The tier-1 run above already covers the default all-backend matrix; this
-# shard pins that the env knob itself works and that the pickle-crossing
-# process backend passes in isolation from the sharded one.
-REPRO_PARITY_BACKENDS=simulated,threads,processes \
-    python -m pytest -q tests/test_scheduler_determinism.py \
-    -k "BackendParity or HistoryRecordingBitIdentity"
-
-echo "== stage 9/10: bench-trends gate =="
+echo "== stage 8/9: bench-trends gate =="
 # Gate on the recorded benchmark trend series: the latest point of every
 # series must stay within the threshold of the trailing median.  A fresh
 # checkout with no recorded series passes trivially.
 python -m repro.cli bench-trends check
 
 if [ "${1:-}" = "--skip-examples" ]; then
-    echo "== stage 10/10: examples smoke run skipped =="
+    echo "== stage 9/9: examples smoke run skipped =="
     exit 0
 fi
 
-echo "== stage 10/10: examples smoke run =="
+echo "== stage 9/9: examples smoke run =="
 python -m pytest -q -m examples
 
 echo "CI checks passed."

@@ -376,23 +376,18 @@ def build_result_digest(result: BuildResult) -> str:
     return stable_digest(json.dumps(result.to_dict(), sort_keys=True))
 
 
+# No execution backend runs build tasks; kept because perfbench/layers.py imports it.
 @dataclass
 class BuildTask:
-    """One re-executable package build — the unit of real backend work.
+    """One re-executable, picklable package build.
 
-    Extracted from the builder/cache pair so an execution backend that runs
-    on real OS threads can perform genuine compilations instead of replaying
-    recorded documents: a task carries everything
-    :meth:`PackageBuilder.build_package` needs, and because that method is a
-    pure function of (package content, configuration), concurrent execution
-    cannot change the campaign's scientific output.
-
-    With *expected_digest* set (normally the digest of the build result the
-    validation pass recorded), :meth:`run` verifies the re-executed build
+    A task carries everything :meth:`PackageBuilder.build_package` needs;
+    that method is a pure function of (package content, configuration), so
+    a task re-executed anywhere reproduces the same result.  With
+    *expected_digest* set, :meth:`run` verifies the re-executed build
     reproduced it bit-identically and raises
     :class:`~repro._common.BuildError` otherwise.  ``runs`` counts how often
-    the task was really executed — backends that only simulate time leave it
-    at zero.
+    the task was executed.
     """
 
     package: SoftwarePackage

@@ -179,41 +179,32 @@ def build_parser() -> argparse.ArgumentParser:
                           help="worker-pool scheduling policy (default fifo)")
     campaign.add_argument("--backend", default="simulated",
                           choices=sorted(EXECUTION_BACKENDS),
-                          help="execution backend: 'simulated' replays the "
-                               "deterministic pool simulation, 'threads' really "
-                               "dispatches the campaign DAG on a wall-clock "
-                               "thread pool, 'processes' dispatches the same DAG "
-                               "but runs every (picklable) build task in a child "
-                               "process outside the GIL, 'sharded' partitions "
-                               "the campaign's cells across worker processes "
-                               "that each journal into a private storage "
-                               "directory, merged back on completion "
-                               "(default simulated)")
+                          help="execution backend, i.e. where the cells' tests "
+                               "run: 'simulated' computes them inline, "
+                               "'threads' on a thread pool, 'processes' in "
+                               "forked child processes (one task per cell), "
+                               "'sharded' round-robined over forked shard "
+                               "processes; every backend reports the same "
+                               "simulated timeline (default simulated)")
     campaign.add_argument("--shards", type=_positive_int, default=None,
                           help="shard count for the sharded backend (implies "
-                               "--backend sharded): cells are partitioned "
-                               "across this many worker processes, each "
-                               "persisting its build results as append-only "
-                               "journal segments in a private directory; the "
-                               "shards are merged on completion by replaying "
-                               "their journals into the parent build cache — "
-                               "idempotent by content-addressed key, so the "
-                               "merged output stays bit-identical to the "
-                               "simulated backend")
+                               "--backend sharded): each round's cells are "
+                               "round-robined over this many forked worker "
+                               "processes, one task per shard")
     campaign.add_argument("--spec", default=None, metavar="FILE",
                           help="submit the CampaignSpec JSON document in FILE "
                                "instead of building one from the flags above "
                                "(--output/--cache-dir/--cache-budget-mb still apply)")
     campaign.add_argument("--deadline-seconds", type=float, default=None,
-                          help="campaign deadline; late cells are reported")
+                          help="campaign deadline in simulated timeline "
+                               "seconds; late cells are reported")
     campaign.add_argument("--on-deadline", default=None,
                           choices=list(ON_DEADLINE_MODES),
                           help="what a blown deadline does: 'report' (the "
                                "default) only marks late cells, 'abort' "
-                               "cancels still-queued work via the lifecycle "
-                               "bus's deadline-abort policy — completed "
-                               "cells keep their (bit-identical) run "
-                               "documents")
+                               "fails the campaign via the lifecycle bus's "
+                               "deadline-abort policy — the cells keep their "
+                               "(bit-identical) run documents")
     campaign.add_argument("--event-log", default=None, metavar="PATH",
                           help="append every fired lifecycle event "
                                "(cell_completed, campaign_finished, "

@@ -12,12 +12,26 @@ performed."  One invocation of :meth:`ValidationRunner.run` produces a
 3. the analysis chains run sequentially, each step consuming the products of
    the previous one; a failing step causes the remaining steps of that chain
    to be skipped.
+
+A cell is worked in two steps.  :meth:`ValidationRunner.compute` is the pure
+part of phases 2 and 3: the compatibility checker, the executors and the
+chain skips give each test's status, duration and output, and nothing else
+— no job ID, no clock reading, no storage write.  It is given the cell's
+run ID, reserved up front, so executors see the ``SP_RUN_ID`` of the run
+they end up in.  :meth:`ValidationRunner.run` then *stamps* the computed
+cell: it allocates the job IDs, advances the simulated clock exactly as
+executing the jobs one after the other would, stores outputs and artifacts
+and records the run.  The campaign scheduler builds every cell of a round
+first, lets its execution backend map :meth:`~ValidationRunner.compute`
+over the round, and stamps the cells in matrix order; a
+:meth:`~ValidationRunner.run` call without a computed cell does all three
+in line.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Callable, Collection, Dict, FrozenSet, List, Optional
 
 from repro._common import ValidationError
 from repro.buildsys.builder import BuildCampaign, PackageBuilder
@@ -64,6 +78,37 @@ class RunnerSettings:
     record_in_catalog: bool = True
 
 
+@dataclass
+class ComputedJob:
+    """One test or chain step as :meth:`ValidationRunner.compute` left it.
+
+    The job's ``job_id``, ``started_at`` and ``output_key`` are placeholders
+    until :meth:`ValidationRunner.run` stamps them.
+    """
+
+    job: ValidationJob
+    #: Simulated seconds the job advances the clock by.
+    clock_seconds: int
+    #: A skipped chain step reads its start time after advancing the clock.
+    started_after_advance: bool = False
+
+
+@dataclass
+class CellComputation:
+    """One cell's builds and computed jobs, ready to be stamped."""
+
+    run_id: str
+    builds: BuildCampaign
+    jobs: List[ComputedJob]
+
+
+def unusable_packages(builds: BuildCampaign) -> FrozenSet[str]:
+    """Names of the packages of *builds* that produced no usable artifact."""
+    return frozenset(
+        name for name, result in builds.results.items() if not result.succeeded
+    )
+
+
 class ValidationRunner:
     """Builds and validates one experiment on one environment configuration."""
 
@@ -106,9 +151,27 @@ class ValidationRunner:
         experiment: ExperimentDefinition,
         configuration: EnvironmentConfiguration,
         description: Optional[str] = None,
+        computed: Optional[CellComputation] = None,
     ) -> ValidationRun:
-        """Run the full suite of *experiment* on *configuration*."""
+        """Run the full suite of *experiment* on *configuration*.
+
+        With *computed* (a campaign cell whose builds and tests already ran),
+        only the stamping step runs; its run ID must be the next one the
+        allocator hands out.
+        """
+        if computed is None:
+            run_id = self.id_allocator.peek()
+            builds = self.builder.build_inventory(experiment.inventory, configuration)
+            computed = CellComputation(
+                run_id,
+                builds,
+                self.compute(experiment, configuration, run_id, unusable_packages(builds)),
+            )
         run_id = self.id_allocator.allocate()
+        if run_id != computed.run_id:
+            raise ValidationError(
+                f"cell computed for run {computed.run_id} was stamped as run {run_id}"
+            )
         description = description or f"{experiment.name}-{configuration.key}"
         software_versions = dict(configuration.external_map())
         software_versions["operating_system"] = configuration.operating_system.name
@@ -121,21 +184,68 @@ class ValidationRunner:
             started_at=self.clock.now,
             software_versions=software_versions,
         )
-        campaign = self._run_compilation_phase(run, experiment, configuration)
-        numeric_context = self.numeric_context_factory(configuration)
-        self._run_standalone_phase(run, experiment, configuration, campaign, numeric_context)
-        self._run_chain_phase(run, experiment, configuration, campaign, numeric_context)
+        self._stamp_compilation_phase(run, experiment, configuration, computed.builds)
+        for entry in computed.jobs:
+            job = entry.job
+            job.job_id = self.id_allocator.allocate()
+            if entry.started_after_advance:
+                self.clock.advance(entry.clock_seconds)
+                job.started_at = self.clock.now
+            else:
+                job.started_at = self.clock.now
+                self.clock.advance(entry.clock_seconds)
+            if job.output is not None:
+                job.output_key = self._store_output(run_id, job.test_name, job.output)
+            run.add_job(job)
         self._record(run)
         return run
 
+    def compute(
+        self,
+        experiment: ExperimentDefinition,
+        configuration: EnvironmentConfiguration,
+        run_id: str,
+        unusable: Collection[str],
+    ) -> List[ComputedJob]:
+        """Run the standalone tests and the chains of one cell (phases 2, 3).
+
+        *unusable* names the packages that did not build.  Allocates no ID,
+        reads no clock and writes no storage, so cells can be computed in
+        any order, on threads or in other processes.
+        """
+        numeric_context = self.numeric_context_factory(configuration)
+        jobs = [
+            self._execute_test(
+                run_id, test, configuration, unusable, numeric_context, chain_state=None
+            )
+            for test in experiment.standalone_tests
+        ]
+        for chain in experiment.chains:
+            chain_state: Dict[str, object] = {}
+            chain_broken = False
+            for step in chain.steps:
+                if chain_broken and self.settings.stop_chain_on_failure:
+                    computed = self._skipped_job(
+                        step, configuration,
+                        reason=f"previous step of chain {chain.name!r} failed",
+                    )
+                else:
+                    computed = self._execute_test(
+                        run_id, step, configuration, unusable, numeric_context, chain_state
+                    )
+                if computed.job.status is not JobStatus.PASSED:
+                    chain_broken = True
+                jobs.append(computed)
+        return jobs
+
     # -- phase 1: compilation -------------------------------------------------
-    def _run_compilation_phase(
+    def _stamp_compilation_phase(
         self,
         run: ValidationRun,
         experiment: ExperimentDefinition,
         configuration: EnvironmentConfiguration,
-    ) -> BuildCampaign:
-        campaign = self.builder.build_inventory(experiment.inventory, configuration)
+        campaign: BuildCampaign,
+    ) -> None:
         for package in experiment.inventory.all():
             result = campaign.result_for(package.name)
             job_id = self.id_allocator.allocate()
@@ -170,111 +280,51 @@ class ValidationRunner:
             )
             run.add_job(job)
             self.clock.advance(int(result.build_seconds) + 1)
-        return campaign
 
-    # -- phase 2: standalone tests ---------------------------------------------
-    def _run_standalone_phase(
-        self,
-        run: ValidationRun,
-        experiment: ExperimentDefinition,
-        configuration: EnvironmentConfiguration,
-        campaign: BuildCampaign,
-        numeric_context: NumericContext,
-    ) -> None:
-        for test in experiment.standalone_tests:
-            job = self._execute_test(
-                run, test, configuration, campaign, numeric_context, chain_state=None
-            )
-            run.add_job(job)
-
-    # -- phase 3: analysis chains ------------------------------------------------
-    def _run_chain_phase(
-        self,
-        run: ValidationRun,
-        experiment: ExperimentDefinition,
-        configuration: EnvironmentConfiguration,
-        campaign: BuildCampaign,
-        numeric_context: NumericContext,
-    ) -> None:
-        for chain in experiment.chains:
-            chain_state: Dict[str, object] = {}
-            chain_broken = False
-            for step in chain.steps:
-                if chain_broken and self.settings.stop_chain_on_failure:
-                    job = self._skipped_job(
-                        run, step, configuration,
-                        reason=f"previous step of chain {chain.name!r} failed",
-                    )
-                else:
-                    job = self._execute_test(
-                        run, step, configuration, campaign, numeric_context, chain_state
-                    )
-                if job.status is not JobStatus.PASSED:
-                    chain_broken = True
-                run.add_job(job)
-
-    # -- job execution -------------------------------------------------------
+    # -- phases 2 and 3: tests and chain steps ---------------------------------
     def _execute_test(
         self,
-        run: ValidationRun,
+        run_id: str,
         test: ValidationTestSpec,
         configuration: EnvironmentConfiguration,
-        campaign: BuildCampaign,
+        unusable: Collection[str],
         numeric_context: NumericContext,
         chain_state: Optional[Dict[str, object]],
-    ) -> ValidationJob:
-        job_id = self.id_allocator.allocate()
-        started_at = self.clock.now
+    ) -> ComputedJob:
         duration = self.settings.simulated_seconds_per_test
         # A test cannot run if a package it needs did not build.
         missing_packages = [
-            name for name in test.required_packages
-            if name in campaign.results and not campaign.result_for(name).succeeded
+            name for name in test.required_packages if name in unusable
         ]
         if missing_packages:
-            self.clock.advance(1)
-            return ValidationJob(
-                job_id=job_id,
-                test_name=test.name,
-                experiment=test.experiment,
-                configuration_key=configuration.key,
-                kind=test.kind,
-                status=JobStatus.SKIPPED,
-                started_at=started_at,
-                duration_seconds=0.0,
-                messages=[
-                    "required package(s) failed to build: " + ", ".join(missing_packages)
-                ],
-                chain=test.chain,
-                process=test.process,
+            return ComputedJob(
+                self._job(
+                    test, configuration, JobStatus.SKIPPED, 0.0,
+                    messages=[
+                        "required package(s) failed to build: "
+                        + ", ".join(missing_packages)
+                    ],
+                ),
+                clock_seconds=1,
             )
         # Environment incompatibilities declared by the test itself.
         issues = self.checker.check(test.requirements, configuration)
         errors = [issue for issue in issues if issue.is_error()]
         messages = [str(issue) for issue in issues]
         if errors:
-            self.clock.advance(int(duration * 0.1) + 1)
             output = TestOutput(
                 kind=OutputKind.YES_NO, passed=False, yes_no=False, messages=messages
             )
-            return ValidationJob(
-                job_id=job_id,
-                test_name=test.name,
-                experiment=test.experiment,
-                configuration_key=configuration.key,
-                kind=test.kind,
-                status=JobStatus.FAILED,
-                started_at=started_at,
-                duration_seconds=duration * 0.1,
-                output=output,
-                output_key=self._store_output(run.run_id, test.name, output),
-                messages=messages,
-                chain=test.chain,
-                process=test.process,
+            return ComputedJob(
+                self._job(
+                    test, configuration, JobStatus.FAILED, duration * 0.1,
+                    messages=messages, output=output,
+                ),
+                clock_seconds=int(duration * 0.1) + 1,
             )
         # Run the experiment-provided executor through the thin shell interface.
         shell_environment = self.shell_interface.environment_for(
-            run_id=run.run_id,
+            run_id=run_id,
             test_name=test.name,
             experiment=test.experiment,
             configuration_key=configuration.key,
@@ -307,42 +357,47 @@ class ValidationRunner:
             )
         output.messages.extend(messages)
         status = JobStatus.PASSED if output.passed else JobStatus.FAILED
-        self.clock.advance(int(duration) + 1)
+        return ComputedJob(
+            self._job(
+                test, configuration, status, duration,
+                messages=list(output.messages), output=output,
+            ),
+            clock_seconds=int(duration) + 1,
+        )
+
+    def _skipped_job(
+        self,
+        test: ValidationTestSpec,
+        configuration: EnvironmentConfiguration,
+        reason: str,
+    ) -> ComputedJob:
+        return ComputedJob(
+            self._job(test, configuration, JobStatus.SKIPPED, 0.0, messages=[reason]),
+            clock_seconds=1,
+            started_after_advance=True,
+        )
+
+    @staticmethod
+    def _job(
+        test: ValidationTestSpec,
+        configuration: EnvironmentConfiguration,
+        status: JobStatus,
+        duration_seconds: float,
+        messages: List[str],
+        output: Optional[TestOutput] = None,
+    ) -> ValidationJob:
+        """A computed job; ID, start time and output key are stamped later."""
         return ValidationJob(
-            job_id=job_id,
+            job_id="",
             test_name=test.name,
             experiment=test.experiment,
             configuration_key=configuration.key,
             kind=test.kind,
             status=status,
-            started_at=started_at,
-            duration_seconds=duration,
+            started_at=0,
+            duration_seconds=duration_seconds,
             output=output,
-            output_key=self._store_output(run.run_id, test.name, output),
-            messages=list(output.messages),
-            chain=test.chain,
-            process=test.process,
-        )
-
-    def _skipped_job(
-        self,
-        run: ValidationRun,
-        test: ValidationTestSpec,
-        configuration: EnvironmentConfiguration,
-        reason: str,
-    ) -> ValidationJob:
-        job_id = self.id_allocator.allocate()
-        self.clock.advance(1)
-        return ValidationJob(
-            job_id=job_id,
-            test_name=test.name,
-            experiment=test.experiment,
-            configuration_key=configuration.key,
-            kind=test.kind,
-            status=JobStatus.SKIPPED,
-            started_at=self.clock.now,
-            duration_seconds=0.0,
-            messages=[reason],
+            messages=messages,
             chain=test.chain,
             process=test.process,
         )
@@ -379,6 +434,9 @@ class ValidationRunner:
 
 __all__ = [
     "ValidationRunner",
+    "ComputedJob",
+    "CellComputation",
+    "unusable_packages",
     "RunnerSettings",
     "default_numeric_context",
     "NumericContextFactory",

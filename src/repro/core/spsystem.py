@@ -23,6 +23,7 @@ from repro.core.jobs import ValidationRun
 from repro.core.recipe import RecipeBook, ValidatedRecipe
 from repro.core.regression import RegressionDetector, RegressionReport
 from repro.core.runner import (
+    CellComputation,
     NumericContextFactory,
     RunnerSettings,
     ValidationRunner,
@@ -341,12 +342,15 @@ class SPSystem:
         configuration_key: str,
         description: Optional[str] = None,
         reference_configuration_key: Optional[str] = None,
+        computed: Optional[CellComputation] = None,
     ) -> ValidationCycleResult:
         """Run one full validation cycle (work-flow steps ii and iii).
 
         The experiment suite is built and run on the named configuration, the
         result is compared against the last successful run, failures are
-        diagnosed and intervention tickets opened.
+        diagnosed and intervention tickets opened.  A campaign passes the
+        cell it already built and *computed*; the runner then only stamps
+        and records it.
         """
         experiment = self.experiment(experiment_name)
         configuration = self.configuration(configuration_key)
@@ -357,7 +361,7 @@ class SPSystem:
             )
         if phase is WorkflowPhase.PREPARATION:
             self.workflow.complete_preparation(experiment, configuration, self.clock.now)
-        run = self.runner.run(experiment, configuration, description)
+        run = self.runner.run(experiment, configuration, description, computed)
         regression_report = self.regression_detector.compare_to_reference(run)
         diagnosis: Optional[DiagnosisReport] = None
         tickets: List[InterventionTicket] = []

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro._common import StorageError, stable_digest
 from repro.buildsys.builder import BuildResult, PackageBuilder
@@ -105,9 +105,9 @@ def package_identity_digest(
     experiments pinning a byte-identical external package address the same
     cache entry.
 
-    The digest is memoised on its frozen inputs: every cache lookup, store
-    and DAG-payload preparation of a 10k-cell campaign re-derives the same
-    digests, and both dataclasses hash by value, so the pair is a sound
+    The digest is memoised on its frozen inputs: every cache lookup and
+    store of a 10k-cell campaign re-derives the same digests, and both
+    dataclasses hash by value, so the pair is a sound
     cache key.  An unhashable input (a hand-built package carrying a list)
     falls back to direct computation.
     """
@@ -363,19 +363,6 @@ class BuildCache:
         self._touch(key)
         return self._replay(entry, package)
 
-    def peek(
-        self, package: SoftwarePackage, configuration: EnvironmentConfiguration
-    ) -> Optional[BuildResult]:
-        """A replay of the entry without touching counters or recency.
-
-        Used by the campaign scheduler to derive the expected result digest
-        of a re-executable :class:`~repro.buildsys.builder.BuildTask`.
-        """
-        entry = self._entries.get(package_identity_digest(package, configuration))
-        if entry is None or self._artifact_gone(entry):
-            return None
-        return self._replay(entry, package)
-
     def store(
         self,
         package: SoftwarePackage,
@@ -393,77 +380,6 @@ class BuildCache:
         if result.tarball is not None and self.artifact_store is not None:
             self.artifact_store.store(result.tarball, label=self.ARTIFACT_LABEL)
         return key
-
-    def merge_from(self, other: "BuildCache", journal: bool = True) -> int:
-        """Replay *other*'s entries into this cache; returns how many were new.
-
-        This is the shard-merge primitive of the sharded execution backend:
-        each shard returns a private cache restored from its own journal
-        segments, and merging is a *replay*, not new bookkeeping — the
-        content-addressed keys make it idempotent.  An entry already present
-        here is left untouched (donor attribution included), so merging a
-        shard whose work the parent cell pass already stored is a no-op.
-        The statistics are deliberately not merged: the parent's counters
-        keep describing the parent's own lookups, which is what keeps a
-        sharded campaign's cache statistics bit-identical to the simulated
-        backend's.
-
-        When this cache is synced to a mounted journal (it was restored
-        from, or last persisted into, a storage namespace nobody else has
-        written since), the merged entries are appended to that journal
-        *immediately* — a daemon restart between the shard merge and the
-        next explicit :meth:`persist_to` loses nothing.  A cache that never
-        synced (or whose journal another writer bumped) keeps the old
-        behaviour: the entries stay unknown to the journal bookkeeping and
-        the next :meth:`persist_to` appends them.  Pass ``journal=False``
-        to force the deferred path.
-        """
-        merged = []
-        for key in sorted(set(other._entries) - set(self._entries)):
-            entry = other._entries[key]
-            self._entries[key] = entry
-            owner = other._owners.get(key)
-            if owner:
-                self._owners[key] = owner
-            shared = other._shared_counts.get(key, 0)
-            if shared:
-                self._shared_counts[key] = shared
-            self._touch(key)
-            if entry.tarball is not None and self.artifact_store is not None:
-                self.artifact_store.store(entry.tarball, label=self.ARTIFACT_LABEL)
-            merged.append(key)
-        if journal and merged:
-            self._journal_merged_entries(merged)
-        return len(merged)
-
-    def _journal_merged_entries(self, keys: List[str]) -> int:
-        """Append freshly merged entries to the synced journal, if safe.
-
-        Safe means: this cache is synced to a journal namespace whose epoch
-        nobody bumped since (the same condition the fast path of
-        :meth:`persist_to` uses) and no repair is pending.  Anything else
-        defers to the next persist — appending to a foreign or stale
-        journal could interleave two lineages.  The epoch is deliberately
-        *not* bumped here: the append extends this cache's own lineage, so
-        a later :meth:`persist_to` into the same namespace still fast-paths
-        (and writes the entries exactly once — they are marked persisted).
-        """
-        namespace = self._synced_namespace
-        if namespace is None or self._journal_dirty:
-            return 0
-        if self._journal_epoch(namespace) != self._synced_epoch:
-            return 0
-        journal = AppendOnlyJournal(namespace, self.JOURNAL_PREFIX)
-        appended = 0
-        for key in keys:
-            entry = self._entries.get(key)
-            if entry is None or key in self._persisted:
-                continue
-            self._persisted[key] = journal.append(self._entry_record(key, entry))
-            self._persisted_shared[key] = self._shared_counts.get(key, 0)
-            self._persist_artifact(namespace, entry)
-            appended += 1
-        return appended
 
     def contains(
         self, package: SoftwarePackage, configuration: EnvironmentConfiguration

@@ -2,27 +2,31 @@
 
 :class:`CampaignScheduler` expands (experiments x configurations x rounds)
 — or an explicit list of :class:`~repro.scheduler.spec.ValidationRequest`
-cells — into the ordered list of matrix cells, executes every cell through
-the owning :class:`~repro.core.spsystem.SPSystem` with the content-hash
-build cache layered over the package builder, then derives the campaign job
-DAG from the executed runs and hands it to the selected
-:class:`~repro.scheduler.backends.ExecutionBackend` for dispatch over the
-worker pool.
+cells — into the ordered list of matrix cells and works them round by
+round, in three passes over the round's cells:
 
-Cell execution deliberately happens in the exact order of the sequential
-path (experiments outer, configurations inner, rounds outermost), so job
-IDs, simulated timestamps and therefore the produced
-:class:`~repro.core.jobs.ValidationRun` documents and
+1. build every cell, serially in matrix order, through the content-hash
+   build cache layered over the package builder, so cache lookups and
+   statistics are those of the sequential path;
+2. let the :class:`~repro.scheduler.backends.ExecutionBackend` map
+   :meth:`~repro.core.runner.ValidationRunner.compute` over the round
+   (inline, on threads or in forked processes), each cell with the run ID
+   it will be stamped with reserved up front;
+3. stamp every cell, serially in matrix order, through
+   :meth:`SPSystem.validate <repro.core.spsystem.SPSystem.validate>` (job
+   IDs, clock, storage, compare, diagnosis, tickets, workflow), then emit
+   its ``cell_completed`` event.
+
+So the :class:`~repro.core.jobs.ValidationRun` documents and
 :class:`~repro.storage.catalog.RunCatalog` records are bit-identical to
-calling :meth:`SPSystem.validate` cell by cell — whatever the worker count
-and whichever backend.  The backend changes the campaign's wall-clock story
-(makespan, utilisation, retries after worker failures — simulated or
-measured on real threads), never its scientific output.
+calling :meth:`SPSystem.validate` cell by cell, whatever the worker count
+and whichever backend.  After the last round the campaign DAG is derived
+from the recorded runs and the backend reports its simulated timeline.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -31,20 +35,21 @@ from typing import (
     List,
     Optional,
     Sequence,
-    Tuple,
     Union,
 )
 
-from repro._common import SchedulingError, chunked, stable_digest
-from repro.buildsys.builder import BuildTask, PackageBuilder, build_result_digest
+from repro._common import SchedulingError, chunked
+from repro.buildsys.builder import BuildCampaign, PackageBuilder
 from repro.buildsys.graph import DependencyGraph
-from repro.core.jobs import JobStatus, ValidationRun
+from repro.core.jobs import ValidationRun
+from repro.core.runner import CellComputation, unusable_packages
 from repro.core.testspec import ExperimentDefinition
 from repro.reporting.summary import render_campaign_report
 from repro.scheduler.backends import (
+    CellMap,
+    CellWork,
     ExecutionBackend,
     ExecutionRequest,
-    TaskPayload,
     execution_backend,
 )
 from repro.scheduler.cache import BuildCache, CacheStatistics, CachingPackageBuilder
@@ -102,12 +107,6 @@ class CampaignResult:
     backend: str = "simulated"
     #: The spec the campaign was submitted with (None for direct scheduler use).
     spec: Optional[CampaignSpec] = None
-    #: Task ID -> the re-executable :class:`~repro.buildsys.builder.BuildTask`
-    #: the backend was handed for that build task.  Only the build tasks are
-    #: retained (they are small, and the parity tests inspect their ``runs``
-    #: counters); the per-task verification closures are dropped after
-    #: execution instead of living as long as the campaign result.
-    payloads: Dict[str, TaskPayload] = field(default_factory=dict, repr=False)
 
     @property
     def n_cells(self) -> int:
@@ -197,10 +196,9 @@ class CampaignScheduler:
         self.lifecycle = lifecycle
         self.campaign_id = campaign_id
         #: The system's telemetry bundle (the no-op bundle when the system
-        #: predates it or was built without one).  Spans recorded from the
-        #: deterministic cell pass carry category "cell" — their sequence
-        #: is part of the cross-backend parity contract; wall-clock
-        #: dispatch spans carry "dispatch" and are excluded.
+        #: predates it or was built without one).  Spans of the serial build
+        #: and stamping passes carry category "cell" (their sequence is part
+        #: of the cross-backend parity contract); backend spans "dispatch".
         self.telemetry = getattr(system, "telemetry", None) or NULL_TELEMETRY
 
     # -- campaign execution ----------------------------------------------------
@@ -263,66 +261,51 @@ class CampaignScheduler:
         """
         if rounds < 1:
             raise SchedulingError("a campaign needs at least one round")
+        builder = self._campaign_builder()
         # Account against the cache that will actually serve the campaign: a
         # caching builder already installed on the runner keeps its own cache.
-        if self.use_cache:
-            cell_builder: Optional[PackageBuilder] = self._caching_builder()
-            effective_cache = cell_builder.cache  # type: ignore[union-attr]
-        else:
-            # The cold path must bypass a caching builder even when one is
-            # installed directly on the runner — otherwise "no cache" would
-            # silently serve warm replays.
-            cell_builder = self._cold_builder()
-            effective_cache = self.cache
+        effective_cache = (
+            builder.cache if self.use_cache else self.cache  # type: ignore[attr-defined]
+        )
         statistics_before = effective_cache.statistics.snapshot()
+        request = ExecutionRequest(
+            dag=CampaignDAG(),
+            workers=self.workers,
+            worker_profile=self.worker_profile,
+            failures=self.failures,
+            policy=self.policy,
+            deadline_seconds=self.deadline_seconds,
+            shards=self.shards,
+            lifecycle=self.lifecycle,
+            campaign_id=self.campaign_id,
+            telemetry=self.telemetry,
+        )
         cells: List[CampaignCell] = []
-        for _round in range(rounds):
-            cells.extend(
-                self._execute_cells(
-                    requests,
-                    description,
-                    cell_builder,
-                    on_cell_complete,
-                    index_offset=len(cells),
-                )
-            )
-            if self.use_cache and self.cache_budget_bytes is not None:
-                evicted = effective_cache.enforce_budget(self.cache_budget_bytes)
-                if evicted and self.lifecycle is not None:
-                    self.lifecycle.emit(
-                        EVENT_BUDGET_EXCEEDED,
-                        campaign_id=self.campaign_id,
-                        payload={
-                            "budget_bytes": self.cache_budget_bytes,
-                            "evicted_entries": evicted,
-                            "round": _round + 1,
-                        },
-                    )
-        with self.telemetry.tracer.span("dag_construction", category="cell"):
-            dag, payloads = self._build_dag(cells, effective_cache)
         try:
-            schedule = self.backend.execute(
-                ExecutionRequest(
-                    dag=dag,
-                    workers=self.workers,
-                    worker_profile=self.worker_profile,
-                    failures=self.failures,
-                    policy=self.policy,
-                    deadline_seconds=self.deadline_seconds,
-                    payloads=payloads,
-                    shards=self.shards,
-                    lifecycle=self.lifecycle,
-                    campaign_id=self.campaign_id,
-                    # The sharded backend replays its shards' journals into
-                    # the campaign's cache on completion; the merge is
-                    # idempotent, so handing it over is safe on every path.
-                    merge_cache=effective_cache if self.use_cache else None,
-                    telemetry=self.telemetry,
-                )
-            )
+            with self.backend.cell_map(self.system, request) as compute:
+                for round_number in range(1, rounds + 1):
+                    self._run_round(
+                        requests, description, builder, compute, cells, on_cell_complete
+                    )
+                    if self.use_cache and self.cache_budget_bytes is not None:
+                        evicted = effective_cache.enforce_budget(
+                            self.cache_budget_bytes
+                        )
+                        if evicted and self.lifecycle is not None:
+                            self.lifecycle.emit(
+                                EVENT_BUDGET_EXCEEDED,
+                                campaign_id=self.campaign_id,
+                                payload={
+                                    "budget_bytes": self.cache_budget_bytes,
+                                    "evicted_entries": evicted,
+                                    "round": round_number,
+                                },
+                            )
+            with self.telemetry.tracer.span("dag_construction", category="cell"):
+                request.dag = self._build_dag(cells)
+            schedule = self.backend.execute(request)
         except SchedulingError as error:
-            # The deterministic validation pass has already recorded its runs;
-            # only the pool execution failed.  Say so instead of implying the
+            # Every stamped cell is recorded; say so instead of implying the
             # campaign produced nothing.
             raise SchedulingError(
                 f"{error} (the {len(cells)} validation run(s) of the campaign "
@@ -330,7 +313,7 @@ class CampaignScheduler:
             ) from error
         return CampaignResult(
             cells=cells,
-            dag=dag,
+            dag=request.dag,
             schedule=schedule,
             cache_statistics=effective_cache.statistics - statistics_before,
             workers=self.workers,
@@ -339,281 +322,174 @@ class CampaignScheduler:
             description=description,
             policy=self.policy.name,
             backend=self.backend.name,
-            payloads={
-                task_id: payload
-                for task_id, payload in payloads.items()
-                if isinstance(payload, BuildTask)
-            },
         )
 
-    def _caching_builder(self) -> CachingPackageBuilder:
-        """The caching builder the campaign will execute with."""
-        original = self.system.runner.builder
-        if isinstance(original, CachingPackageBuilder):
-            original.telemetry = self.telemetry
-            return original
-        return CachingPackageBuilder(self.cache, base=original, telemetry=self.telemetry)
+    def _campaign_builder(self) -> PackageBuilder:
+        """The builder the campaign's build pass runs.
 
-    @staticmethod
-    def _unwrap_builder(builder: PackageBuilder) -> PackageBuilder:
-        """Peel a caching wrapper off a builder, keeping its checker."""
-        if not isinstance(builder, CachingPackageBuilder):
-            return builder
-        if builder.base is not None:
-            return builder.base
-        return PackageBuilder(checker=builder.checker)
-
-    def _cold_builder(self) -> Optional[PackageBuilder]:
-        """The builder for a cache-free campaign, or None to leave the runner.
-
-        An installed :class:`CachingPackageBuilder` is unwrapped to its base
-        so the cold path genuinely compiles instead of replaying its cache.
+        The caching wrapper over the runner's builder, or on the cold path
+        the runner's builder with any installed caching wrapper peeled off,
+        so "no cache" genuinely compiles instead of serving warm replays.
         """
         original = self.system.runner.builder
-        unwrapped = self._unwrap_builder(original)
-        return None if unwrapped is original else unwrapped
+        if self.use_cache:
+            if isinstance(original, CachingPackageBuilder):
+                original.telemetry = self.telemetry
+                return original
+            return CachingPackageBuilder(
+                self.cache, base=original, telemetry=self.telemetry
+            )
+        if not isinstance(original, CachingPackageBuilder):
+            return original
+        if original.base is not None:
+            return original.base
+        return PackageBuilder(checker=original.checker)
 
-    def _execute_cells(
+    def _run_round(
         self,
         requests: Sequence[ValidationRequest],
         description: Optional[str],
-        cell_builder: Optional[PackageBuilder],
+        builder: PackageBuilder,
+        compute: CellMap,
+        cells: List[CampaignCell],
         on_cell_complete: Optional[CellCallback] = None,
-        index_offset: int = 0,
-    ) -> List[CampaignCell]:
-        """Run one round of cells in sequential order.
-
-        With a *cell_builder*, it replaces the runner's builder for the
-        duration of the round (the caching wrapper on the warm path, the
-        unwrapped base on the cold path); ``None`` leaves the runner
-        untouched.
-        """
-        original_builder = self.system.runner.builder
-        cells: List[CampaignCell] = []
-        try:
-            if cell_builder is not None:
-                self.system.runner.builder = cell_builder
-            for index, request in enumerate(requests, start=index_offset):
-                # The span attributes are pure matrix coordinates, so the
-                # cell-pass span sequence is identical on every backend.
-                with self.telemetry.tracer.span(
-                    "cell_validate",
-                    category="cell",
-                    experiment=request.experiment,
-                    configuration=request.configuration_key,
-                ):
-                    result = self.system.validate(
-                        request.experiment,
-                        request.configuration_key,
-                        description=request.description or description,
-                        reference_configuration_key=request.reference_configuration_key,
-                    )
-                self.telemetry.metrics.increment(
-                    "scheduler_cells_total", backend=self.backend.name
+    ) -> None:
+        """Build, compute and stamp one round of cells, appending to *cells*."""
+        allocator = self.system.runner.id_allocator
+        works: List[CellWork] = []
+        builds: List[BuildCampaign] = []
+        reserved = 0
+        for index, request in enumerate(requests, start=len(cells)):
+            experiment = self.system.experiment(request.experiment)
+            configuration = self.system.configuration(request.configuration_key)
+            with self.telemetry.tracer.span(
+                "cell_build",
+                category="cell",
+                experiment=request.experiment,
+                configuration=request.configuration_key,
+            ):
+                built = builder.build_inventory(experiment.inventory, configuration)
+            builds.append(built)
+            works.append(
+                CellWork(
+                    index, request.experiment, configuration,
+                    allocator.peek(reserved), unusable_packages(built),
                 )
-                cell = CampaignCell(
-                    index=index,
-                    experiment=request.experiment,
-                    configuration_key=request.configuration_key,
-                    result=result,
+            )
+            # The run ID, then one job ID per compilation, test and step.
+            reserved += 1 + experiment.total_test_count()
+        with self.telemetry.tracer.span(
+            "cell_map", category="dispatch", backend=self.backend.name
+        ):
+            computed = compute(works)
+        for request, work, built, jobs in zip(requests, works, builds, computed):
+            # The span attributes are pure matrix coordinates, so the
+            # cell-pass span sequence is identical on every backend.
+            with self.telemetry.tracer.span(
+                "cell_validate",
+                category="cell",
+                experiment=request.experiment,
+                configuration=request.configuration_key,
+            ):
+                result = self.system.validate(
+                    request.experiment,
+                    request.configuration_key,
+                    description=request.description or description,
+                    reference_configuration_key=request.reference_configuration_key,
+                    computed=CellComputation(work.run_id, built, jobs),
                 )
-                cells.append(cell)
-                if on_cell_complete is not None:
-                    on_cell_complete(cell)
-                # Emitted from the deterministic cell pass — not from the
-                # wall-clock dispatch — so the per-cell event order is
-                # identical on every backend (the parity-tested contract).
-                if self.lifecycle is not None:
-                    self.lifecycle.emit(
-                        EVENT_CELL_COMPLETED,
-                        campaign_id=self.campaign_id,
-                        payload={
-                            "cell_index": cell.index,
-                            "experiment": cell.experiment,
-                            "configuration_key": cell.configuration_key,
-                            "run_id": cell.run.run_id,
-                            "passed": cell.result.successful,
-                        },
-                        subjects={"cell": cell},
-                    )
-        finally:
-            self.system.runner.builder = original_builder
-        return cells
+            self.telemetry.metrics.increment(
+                "scheduler_cells_total", backend=self.backend.name
+            )
+            cell = CampaignCell(
+                index=work.index,
+                experiment=request.experiment,
+                configuration_key=request.configuration_key,
+                result=result,
+            )
+            cells.append(cell)
+            if on_cell_complete is not None:
+                on_cell_complete(cell)
+            # Emitted from the serial stamping pass, so the per-cell event
+            # order is identical on every backend (the parity-tested contract).
+            if self.lifecycle is not None:
+                self.lifecycle.emit(
+                    EVENT_CELL_COMPLETED,
+                    campaign_id=self.campaign_id,
+                    payload={
+                        "cell_index": cell.index,
+                        "experiment": cell.experiment,
+                        "configuration_key": cell.configuration_key,
+                        "run_id": cell.run.run_id,
+                        "passed": cell.result.successful,
+                    },
+                    subjects={"cell": cell},
+                )
 
     # -- DAG derivation --------------------------------------------------------
-    def _build_dag(
-        self, cells: Sequence[CampaignCell], cache: Optional[BuildCache] = None
-    ) -> Tuple[CampaignDAG, Dict[str, TaskPayload]]:
-        """Derive the campaign DAG, with task durations from the executed runs.
-
-        Alongside the DAG, every task gets a payload — the real work a
-        wall-clock backend executes on its threads.  Build tasks get a
-        re-executable :class:`~repro.buildsys.builder.BuildTask` (builds are
-        pure functions of the package content digest, so the concurrent
-        re-execution is race-free and digest-checked against the recorded
-        result); test and chain tasks get a read-only verification replay of
-        their recorded jobs.
-        """
+    def _build_dag(self, cells: Sequence[CampaignCell]) -> CampaignDAG:
+        """Derive the campaign DAG, with task durations from the recorded runs."""
         dag = CampaignDAG()
-        payloads: Dict[str, TaskPayload] = {}
-        build_builder = self._real_build_builder()
         # The build order depends on the experiment only; compute it once
         # instead of once per matrix cell.
         build_orders: Dict[str, List[str]] = {}
         for cell in cells:
             experiment = self.system.experiment(cell.experiment)
             if cell.experiment not in build_orders:
-                build_orders[cell.experiment] = DependencyGraph(
-                    experiment.inventory
-                ).build_order()
-            self._add_cell_tasks(
-                dag,
-                payloads,
-                cell,
-                experiment,
-                build_orders[cell.experiment],
-                cache,
-                build_builder,
-            )
-        return dag, payloads
-
-    def _real_build_builder(self) -> Optional[PackageBuilder]:
-        """A builder safe to re-execute builds with on backend threads.
-
-        Only a plain :class:`PackageBuilder` (possibly hiding under the
-        caching wrapper) is known to be a stateless pure function; a custom
-        builder subclass (e.g. a stateful fault injector) returns None and
-        the build tasks fall back to verification replays.
-        """
-        builder = self._unwrap_builder(self.system.runner.builder)
-        if type(builder) is PackageBuilder:
-            return PackageBuilder(checker=builder.checker)
-        return None
+                graph = DependencyGraph(experiment.inventory)
+                build_orders[cell.experiment] = graph.build_order()
+            self._add_cell_tasks(dag, cell, experiment, build_orders[cell.experiment])
+        return dag
 
     def _add_cell_tasks(
         self,
         dag: CampaignDAG,
-        payloads: Dict[str, TaskPayload],
         cell: CampaignCell,
         experiment: ExperimentDefinition,
         build_order: Sequence[str],
-        cache: Optional[BuildCache],
-        build_builder: Optional[PackageBuilder],
     ) -> None:
         run = cell.run
-        prefix = f"c{cell.index:04d}"
-        build_ids: Dict[str, str] = {}
-        configuration = self.system.configuration(cell.configuration_key)
-        for name in build_order:
-            package = experiment.inventory.get(name)
-            job = run.job_for(f"compile-{name}")
-            task_id = f"{prefix}:build:{name}"
+
+        def add(suffix, kind, duration, dependencies, **extra) -> str:
+            task_id = f"c{cell.index:04d}:{suffix}"
             dag.add(
                 CampaignTask(
                     task_id=task_id,
-                    kind=TaskKind.BUILD,
+                    kind=kind,
                     cell_index=cell.index,
                     experiment=cell.experiment,
                     configuration_key=cell.configuration_key,
-                    duration_seconds=job.duration_seconds,
-                    dependencies=tuple(
-                        build_ids[dependency] for dependency in package.dependencies
-                    ),
+                    duration_seconds=duration,
+                    dependencies=tuple(dependencies),
+                    **extra,
                 )
             )
-            # A skipped compile job never ran build_package during the cell
-            # pass, so there is nothing to re-execute for it.
-            if build_builder is not None and job.status is not JobStatus.SKIPPED:
-                expected = None
-                # The digest only matters to a backend that really runs the
-                # payload; skip the replay-and-hash work for simulators.
-                if cache is not None and self.backend.executes_payloads:
-                    recorded = cache.peek(package, configuration)
-                    if recorded is not None:
-                        expected = build_result_digest(recorded)
-                payloads[task_id] = BuildTask(
-                    package=package,
-                    configuration=configuration,
-                    builder=build_builder,
-                    expected_digest=expected,
-                )
-            else:
-                payloads[task_id] = self._verification_payload(
-                    run, [f"compile-{name}"]
-                )
-            build_ids[name] = task_id
+            return task_id
+
+        build_ids: Dict[str, str] = {}
+        for name in build_order:
+            duration = run.job_for(f"compile-{name}").duration_seconds
+            dependencies = [
+                build_ids[dependency]
+                for dependency in experiment.inventory.get(name).dependencies
+            ]
+            build_ids[name] = add(f"build:{name}", TaskKind.BUILD, duration, dependencies)
         # Tests start once the cell's compilation phase is complete, exactly
         # as the validation runner sequences its phases.
         all_builds = tuple(build_ids.values())
-        for batch_index, batch in enumerate(
-            chunked(experiment.standalone_tests, self.batch_size)
-        ):
-            task_id = f"{prefix}:standalone-batch:{batch_index:03d}"
-            dag.add(
-                CampaignTask(
-                    task_id=task_id,
-                    kind=TaskKind.TEST_BATCH,
-                    cell_index=cell.index,
-                    experiment=cell.experiment,
-                    configuration_key=cell.configuration_key,
-                    duration_seconds=sum(
-                        run.job_for(test.name).duration_seconds for test in batch
-                    ),
-                    dependencies=all_builds,
-                    n_tests=len(batch),
-                )
-            )
-            payloads[task_id] = self._verification_payload(
-                run, [test.name for test in batch]
+        for index, batch in enumerate(chunked(experiment.standalone_tests, self.batch_size)):
+            duration = sum(run.job_for(test.name).duration_seconds for test in batch)
+            add(
+                f"standalone-batch:{index:03d}", TaskKind.TEST_BATCH, duration,
+                all_builds, n_tests=len(batch),
             )
         for chain in experiment.chains:
-            previous: Optional[str] = None
+            previous = all_builds
             for step in chain.steps:
-                task_id = f"{prefix}:chain:{step.name}"
-                dag.add(
-                    CampaignTask(
-                        task_id=task_id,
-                        kind=TaskKind.CHAIN_STEP,
-                        cell_index=cell.index,
-                        experiment=cell.experiment,
-                        configuration_key=cell.configuration_key,
-                        duration_seconds=run.job_for(step.name).duration_seconds,
-                        dependencies=(previous,) if previous is not None else all_builds,
-                    )
+                duration = run.job_for(step.name).duration_seconds
+                previous = (
+                    add(f"chain:{step.name}", TaskKind.CHAIN_STEP, duration, previous),
                 )
-                payloads[task_id] = self._verification_payload(run, [step.name])
-                previous = task_id
-
-    def _verification_payload(
-        self, run: ValidationRun, job_names: Sequence[str]
-    ) -> TaskPayload:
-        """Real (read-only) work for one task on a wall-clock backend.
-
-        The payload replays the task's slice of the recorded cell: every job
-        document is re-serialised and content-hashed, and the job's stored
-        output document is re-read from the common storage.  Touching only
-        immutable recorded state keeps the concurrent execution free of
-        races — and of any way to change the scientific output.
-        """
-        storage = self.system.storage
-        telemetry = self.telemetry
-
-        def verify() -> str:
-            # Runs on backend worker threads; the span lands in the
-            # "dispatch" category, outside the parity contract.
-            with telemetry.tracer.span(
-                "verification", category="dispatch", jobs=len(job_names)
-            ):
-                digests = []
-                for name in job_names:
-                    job = run.job_for(name)
-                    document = job.to_document()
-                    if job.output_key and storage.exists("results", job.output_key):
-                        storage.get("results", job.output_key)
-                    digests.append(stable_digest(document))
-                return stable_digest(digests)
-
-        return verify
 
 
 __all__ = [

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro._common import SchedulingError
 
@@ -95,25 +95,13 @@ class CampaignDAG:
         """Summed duration of every task: the one-slot sequential makespan."""
         return sum(task.duration_seconds for task in self._tasks.values())
 
-    def critical_path_seconds(
-        self, durations: Optional[Dict[str, float]] = None
-    ) -> float:
-        """Length of the longest dependency chain: the parallel lower bound.
-
-        By default the chain is measured in the tasks' own (simulated)
-        durations; *durations* substitutes another per-task duration source
-        — e.g. wall-clock seconds measured by the thread backend.
-        """
+    def critical_path_seconds(self) -> float:
+        """Length of the longest dependency chain: the parallel lower bound."""
         finish: Dict[str, float] = {}
         longest = 0.0
         for task in self._tasks.values():
-            duration = (
-                task.duration_seconds
-                if durations is None
-                else durations.get(task.task_id, 0.0)
-            )
             start = max((finish[d] for d in task.dependencies), default=0.0)
-            finish[task.task_id] = start + duration
+            finish[task.task_id] = start + task.duration_seconds
             longest = max(longest, finish[task.task_id])
         return longest
 

@@ -2,7 +2,7 @@
 
 The scheduler, history ledger, reporting and intervention tracking used to
 be hard-wired to each other; this module decouples them behind a typed
-event stream.  The dispatch loops emit :class:`LifecycleEvent`s — one of
+event stream.  The scheduler emits :class:`LifecycleEvent`s — one of
 the names in :data:`LIFECYCLE_EVENTS` — through a :class:`PluginRegistry`,
 and everything that *reacts* to a campaign (history ingestion, regression
 alerting, JSONL event logs, deadline aborts) plugs into the registry
@@ -28,21 +28,17 @@ Two kinds of plugins exist, with sharply different powers:
 * **Early-stop policies** (:class:`EarlyStopPolicy`) may cancel queued
   work.  After the observers have seen an event, every registered policy
   is asked :meth:`~EarlyStopPolicy.should_stop`; the first non-``None``
-  reason raises :class:`EarlyStopRequested` out of ``emit``.  The dispatch
-  loop that emitted the event catches it, cancels its queued futures via
-  the existing ``executor.shutdown(wait=False, cancel_futures=True)``
-  machinery, and re-raises a :class:`~repro._common.SchedulingError`.
-  Policies therefore abort *pending* work only — cells whose run documents
-  are already recorded keep them bit-identical (the deterministic cell
-  pass runs before dispatch, so an abort never loses science).
+  reason raises :class:`EarlyStopRequested` out of ``emit``.  The
+  simulated timeline that emitted the event stops there and re-raises a
+  :class:`~repro._common.SchedulingError`.  Policies therefore abort
+  *pending* work only — the timeline is reported after every cell is
+  recorded, so an abort never loses science.
 
 Event ordering is pinned: within one campaign the per-cell
 ``cell_completed`` sequence is identical on every backend (it is emitted
-from the deterministic cell pass, not from the wall-clock dispatch), and
-``campaign_finished`` always comes last.  ``deadline_exceeded`` is the one
-backend-relative event: it fires against the simulated timeline on the
-simulated backend and against ``time.monotonic()`` on the executing ones,
-exactly like the late-cell report it generalises.
+from the serial stamping pass), and ``campaign_finished`` always comes
+last.  ``deadline_exceeded`` fires against the simulated timeline, which
+every backend reports, exactly like the late-cell report it generalises.
 
 This module is deliberately free of core/history imports — the registry
 knows nothing about the system it observes.  System-coupled plugins live
@@ -165,10 +161,10 @@ class EarlyStopPolicy:
 class EarlyStopRequested(SchedulingError):
     """Raised out of ``emit`` when an early-stop policy fires.
 
-    A :class:`~repro._common.SchedulingError` subclass so that dispatch
-    loops which do not special-case it still fail with the established
-    contract (queued futures cancelled, campaign submission fails while
-    completed run documents stay recorded in the catalogue).
+    A :class:`~repro._common.SchedulingError` subclass so that emitters
+    which do not special-case it still fail with the established contract
+    (the campaign submission fails while completed run documents stay
+    recorded in the catalogue).
     """
 
     def __init__(self, reason: str, event: LifecycleEvent, policy: EarlyStopPolicy) -> None:
@@ -246,9 +242,9 @@ class PluginRegistry:
         """Emit one event: record it, notify observers, consult policies.
 
         Raises :class:`EarlyStopRequested` when a policy returns a stop
-        reason — the emitting dispatch loop is responsible for cancelling
-        its queued work and converting the request into the established
-        ``SchedulingError`` failure contract.
+        reason — the emitter is responsible for stopping its pending work
+        and converting the request into the established ``SchedulingError``
+        failure contract.
         """
         if name not in LIFECYCLE_EVENTS:
             raise SchedulingError(
@@ -283,11 +279,10 @@ class PluginRegistry:
 class DeadlineAbortPolicy(EarlyStopPolicy):
     """Turn ``deadline_seconds`` from a report into an enforceable abort.
 
-    When a backend's dispatch loop emits ``deadline_exceeded``, this policy
-    requests the stop; the backend cancels its queued cells and the
-    campaign submission fails with a :class:`~repro._common.SchedulingError`
-    naming the deadline.  Completed cells keep their (already recorded)
-    bit-identical run documents.
+    When a backend's timeline emits ``deadline_exceeded``, this policy
+    requests the stop; the timeline stops and the campaign submission fails
+    with a :class:`~repro._common.SchedulingError` naming the deadline.  The
+    cells keep their (already recorded) bit-identical run documents.
     """
 
     name = "deadline-abort"

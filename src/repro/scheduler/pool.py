@@ -195,14 +195,12 @@ class PoolSchedule:
     policy: str = FifoPolicy.name
     deadline_seconds: Optional[float] = None
     cell_end_seconds: Dict[int, float] = field(default_factory=dict)
-    #: Execution backend that produced the timeline ("simulated" timestamps
-    #: from the event simulation, "threads"/"processes"/"sharded" measured
-    #: wall-clock seconds).
+    #: Execution backend the campaign ran on.  Every backend reports this
+    #: simulated timeline; only the cells' computation ran differently.
     backend: str = "simulated"
-    #: Shard count of a sharded campaign (0 for unsharded backends).  On the
-    #: sharded backend every shard is one worker process running its cells'
-    #: builds sequentially, so ``n_workers`` equals the shard count and
-    #: ``slots_per_worker`` is 1.
+    #: Shard count of a sharded campaign (0 for unsharded backends).  The
+    #: sharded timeline has one single-slot worker per shard, so
+    #: ``n_workers`` equals the shard count and ``slots_per_worker`` is 1.
     shards: int = 0
 
     @property
@@ -264,6 +262,10 @@ class PoolSchedule:
 
 class SimulatedWorkerPool:
     """Executes a campaign DAG over N simulated sp-system client workers."""
+
+    #: Backend named on the timeline, in the deadline event and in an abort
+    #: error; an execution backend relabels the pool it reports with.
+    backend = "simulated"
 
     def __init__(
         self,
@@ -455,14 +457,14 @@ class SimulatedWorkerPool:
                         EVENT_DEADLINE_EXCEEDED,
                         campaign_id=self.campaign_id,
                         payload={
-                            "backend": "simulated",
+                            "backend": self.backend,
                             "deadline_seconds": self.deadline_seconds,
                             "elapsed_seconds": now,
                         },
                     )
                 except EarlyStopRequested as stop:
                     raise SchedulingError(
-                        f"campaign aborted on the simulated backend: {stop} "
+                        f"campaign aborted on the {self.backend} backend: {stop} "
                         f"({len(tasks) - completed} unfinished task(s) "
                         "cancelled)"
                     ) from stop
@@ -502,6 +504,7 @@ class SimulatedWorkerPool:
             policy=self.policy.name,
             deadline_seconds=self.deadline_seconds,
             cell_end_seconds=cell_end_seconds,
+            backend=self.backend,
         )
 
 

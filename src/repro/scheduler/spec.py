@@ -112,10 +112,8 @@ class CampaignSpec:
     deadline_seconds: Optional[float] = None
     #: Execution backend name from the backend registry.
     backend: str = "simulated"
-    #: Shard count for the sharded backend: the campaign's cells are
-    #: partitioned across this many worker processes, each persisting its
-    #: build results as journal segments into a private storage directory,
-    #: merged back into the parent cache on completion.  Setting ``shards``
+    #: Shard count for the sharded backend: each round's cells are
+    #: round-robined over this many forked worker processes.  Setting ``shards``
     #: while leaving ``backend`` at its "simulated" default selects the
     #: sharded backend; an explicit non-sharded backend combined with
     #: ``shards`` is rejected by :meth:`validate`.  ``None`` on the sharded
@@ -146,10 +144,9 @@ class CampaignSpec:
     #: Empty by default, so plain campaigns never touch plugin-owned
     #: storage namespaces and replays stay byte-identical.
     plugins: Tuple[str, ...] = ()
-    #: What a crossed ``deadline_seconds`` does: ``"report"`` (the
-    #: historical behaviour — late cells are reported, nothing is
-    #: cancelled) or ``"abort"`` (a deadline-abort early-stop policy
-    #: cancels the queued cells and the submission fails; completed cells
+    #: What a ``deadline_seconds`` crossed on the simulated timeline does:
+    #: ``"report"`` (late cells are reported) or ``"abort"`` (a
+    #: deadline-abort early-stop policy fails the submission; the cells
     #: keep their recorded run documents).
     on_deadline: str = "report"
     #: Filesystem path of a JSONL lifecycle-event log appended during the

@@ -86,9 +86,13 @@ class JobIdAllocator:
 
     def allocate(self) -> str:
         """Return the next unique job ID, e.g. ``"sp-000042"``."""
-        job_id = f"{self.prefix}-{self._next:06d}"
+        job_id = self.peek()
         self._next += 1
         return job_id
+
+    def peek(self, ahead: int = 0) -> str:
+        """The ID :meth:`allocate` returns after *ahead* further allocations."""
+        return f"{self.prefix}-{self._next + ahead:06d}"
 
     def ensure_past(self, sequence: int) -> None:
         """Advance the counter so no ID at or below *sequence* is re-issued.

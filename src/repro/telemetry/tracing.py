@@ -18,7 +18,7 @@ identical on all four backends — :func:`SpanTracer.sequence` extracts
 exactly that comparable shape and ``TestBackendParity`` pins it.
 
 Categories partition the tree: ``cell`` for the deterministic cell pass,
-``dispatch`` for backend wall-clock execution, ``journal``/``ledger``/
+``dispatch`` for the backend's cell map and timeline, ``journal``/``ledger``/
 ``service`` for persistence and daemon paths.  A span without an
 explicit category inherits its parent's, so instrumented leaf calls stay
 terse.

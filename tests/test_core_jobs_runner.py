@@ -4,7 +4,13 @@ import pytest
 
 from repro._common import ValidationError
 from repro.core.jobs import JobStatus, ValidationJob, ValidationRun
-from repro.core.runner import RunnerSettings, ValidationRunner, default_numeric_context
+from repro.core.runner import (
+    CellComputation,
+    RunnerSettings,
+    ValidationRunner,
+    default_numeric_context,
+    unusable_packages,
+)
 from repro.core.testspec import OutputKind, TestKind, TestOutput
 from repro.storage.bookkeeping import EPOCH_2013
 
@@ -158,6 +164,46 @@ class TestValidationRunner:
     def test_runner_settings_disable_catalog(self, tiny_hermes, sl5_64_gcc44):
         runner = ValidationRunner(settings=RunnerSettings(record_in_catalog=False))
         runner.run(tiny_hermes, sl5_64_gcc44)
+        assert runner.catalog.total_runs() == 0
+
+    @staticmethod
+    def _computed(runner, experiment, configuration, run_id):
+        builds = runner.builder.build_inventory(experiment.inventory, configuration)
+        jobs = runner.compute(experiment, configuration, run_id, unusable_packages(builds))
+        return CellComputation(run_id, builds, jobs)
+
+    def test_compute_allocates_no_id_reads_no_clock_writes_no_storage(
+        self, tiny_zeus, sl6_64_gcc44
+    ):
+        runner = ValidationRunner()
+
+        def state():
+            return (
+                runner.id_allocator.peek(),
+                runner.clock.now,
+                runner.storage.total_documents(),
+                len(runner.artifact_store),
+            )
+
+        before = state()
+        computed = self._computed(runner, tiny_zeus, sl6_64_gcc44, "sp-000001")
+        assert state() == before
+        assert len(computed.jobs) == len(tiny_zeus.all_tests())
+        assert {entry.job.job_id for entry in computed.jobs} == {""}
+
+    def test_stamping_a_computed_cell_equals_a_plain_run(self, tiny_zeus, sl6_64_gcc44):
+        # ZEUS on SL6 has failed builds, skipped tests and broken chains.
+        plain = ValidationRunner().run(tiny_zeus, sl6_64_gcc44)
+        runner = ValidationRunner()
+        computed = self._computed(runner, tiny_zeus, sl6_64_gcc44, runner.id_allocator.peek())
+        stamped = runner.run(tiny_zeus, sl6_64_gcc44, computed=computed)
+        assert stamped.to_document() == plain.to_document()
+
+    def test_stamping_under_another_run_id_is_refused(self, tiny_hermes, sl5_64_gcc44):
+        runner = ValidationRunner()
+        computed = self._computed(runner, tiny_hermes, sl5_64_gcc44, "sp-000042")
+        with pytest.raises(ValidationError, match="stamped as run sp-000001"):
+            runner.run(tiny_hermes, sl5_64_gcc44, computed=computed)
         assert runner.catalog.total_runs() == 0
 
     def test_default_numeric_context_depends_on_configuration(

@@ -1,20 +1,23 @@
-"""Backend-level regression tests: slot reporting and the failure contract.
+"""Backend-level tests: slot reporting, where cells are computed, failures.
 
-Two bugs are pinned here.  First, ``PoolSchedule.slots_per_worker`` used to
-report the worker profile's raw ``cpu_cores`` even when memory or disk was
-the binding constraint — inflating ``total_slots`` and
+Three contracts are pinned here.  First, ``PoolSchedule.slots_per_worker``
+used to report the worker profile's raw ``cpu_cores`` even when memory or
+disk was the binding constraint — inflating ``total_slots`` and
 ``available_slot_seconds`` and so deflating ``utilisation`` for any
 memory-bound profile.  Every backend must now report the *effective* slot
-count, ``min(cpu, memory, disk)`` in task units.  Second, a failing payload
-used to abort the campaign with an anonymous :class:`SchedulingError`; the
-wall-clock backends must name the failing task and cancel still-queued
-work.
+count, ``min(cpu, memory, disk)`` in task units.  Second, a backend maps
+the cell computation: executors run in this process on the simulated and
+thread backends and in forked children on the process and sharded ones,
+always with the ``SP_RUN_ID`` of the run they are stamped into.  Third, a
+crashing executor is recorded alike everywhere, while a map that cannot
+finish raises a :class:`SchedulingError` naming the backend and the cell.
 """
+
+import os
 
 import pytest
 
 from repro._common import SchedulingError
-from repro.buildsys.builder import BuildTask, PackageBuilder
 from repro.core.runner import RunnerSettings
 from repro.core.spsystem import SPSystem
 from repro.experiments import build_hermes_experiment
@@ -32,9 +35,14 @@ from repro.scheduler.pool import (
     SimulatedWorkerPool,
     effective_slots_per_worker,
 )
+from repro.scheduler.spec import CampaignSpec
 from repro.virtualization.resources import VALIDATION_VM_PROFILE, ResourceProfile
 
 KEYS = ["SL5_64bit_gcc4.4", "SL6_64bit_gcc4.4"]
+BACKENDS = ("simulated", "threads", "processes", "sharded")
+
+#: One entry per executor call made in this process (see ``_instrumented``).
+EXECUTOR_CALLS = []
 
 #: Four cores but only 2 GB of memory: with one core and 1 GB per task,
 #: memory binds the worker to two concurrent tasks, not four.
@@ -48,6 +56,49 @@ def _fresh_system(seed=20131029):
     system.provision_standard_images()
     system.register_experiment(build_hermes_experiment(scale=0.2))
     return system
+
+
+def _wrapped_system(wrap):
+    """A fresh system whose HERMES tests all run through ``wrap(executor)``."""
+    system = _fresh_system()
+    for test in system.experiment("HERMES").all_tests():
+        test.executor = wrap(test.executor)
+    return system
+
+
+def _spec(backend, **options):
+    return CampaignSpec(
+        configuration_keys=tuple(KEYS),
+        workers=2,
+        backend=backend,
+        persist_spec=False,
+        **options,
+    )
+
+
+def _run_documents(campaign):
+    return [run.to_document() for run in campaign.runs()]
+
+
+def _instrumented(executor):
+    """Count the call here and echo the run ID the executor was shown."""
+
+    def run(context):
+        EXECUTOR_CALLS.append(context.shell_variables["SP_TEST_NAME"])
+        output = executor(context)
+        output.messages.append(f"SP_RUN_ID={context.shell_variables['SP_RUN_ID']}")
+        return output
+
+    return run
+
+
+def _echoed_run_ids(run):
+    return [
+        message[len("SP_RUN_ID="):]
+        for job in run.jobs
+        for message in job.messages
+        if message.startswith("SP_RUN_ID=")
+    ]
 
 
 def _tiny_dag():
@@ -158,93 +209,90 @@ class TestSlotReportingRegression:
         assert campaign.schedule.slots_per_worker == 4
 
 
+class TestCellMap:
+    """Each backend computes the cells where it says, with their run IDs."""
+
+    def _campaign(self, backend):
+        return _wrapped_system(_instrumented).submit(_spec(backend, rounds=2)).result()
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_executors_see_the_run_id_they_are_stamped_into(self, backend):
+        campaign = self._campaign(backend)
+        for run in campaign.runs():
+            assert _echoed_run_ids(run), f"no executor ran for {run.run_id}"
+            assert set(_echoed_run_ids(run)) == {run.run_id}
+        assert _run_documents(campaign) == _run_documents(self._campaign("simulated"))
+
+    @pytest.mark.parametrize(
+        "backend,in_process",
+        [("simulated", True), ("threads", True), ("processes", False), ("sharded", False)],
+    )
+    def test_executors_run_where_the_backend_says(self, backend, in_process):
+        reference = self._campaign("simulated")
+        EXECUTOR_CALLS.clear()
+        campaign = self._campaign(backend)
+        executed = sum(len(_echoed_run_ids(run)) for run in campaign.runs())
+        assert executed > 0
+        assert len(EXECUTOR_CALLS) == (executed if in_process else 0)
+        assert _run_documents(campaign) == _run_documents(reference)
+
+
 class TestFailureContract:
-    """A failing payload names its task and cancels still-queued work."""
+    """A crashing executor is recorded; a broken map names backend and cell."""
 
-    def _failing_request(self):
-        def boom():
-            raise ValueError("injected payload failure")
+    @staticmethod
+    def _crashing(executor):
+        def run(context):
+            raise RuntimeError(f"broken script {context.shell_variables['SP_TEST_NAME']}")
 
-        return ExecutionRequest(
-            dag=_tiny_dag(),
-            workers=1,
-            payloads={"c0000:build:alpha": boom},
-        )
+        return run
 
-    @pytest.mark.parametrize("backend_name", ["threads", "processes"])
-    def test_pool_backend_failure_names_the_task(self, backend_name):
-        backend = execution_backend(backend_name)
-        with pytest.raises(SchedulingError) as error:
-            backend.execute(self._failing_request())
-        message = str(error.value)
-        assert "c0000:build:alpha" in message
-        assert backend_name in message
-        assert "still-queued tasks were cancelled" in message
-        assert "injected payload failure" in message
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_crashing_executor_is_recorded_alike_on_every_backend(self, backend):
+        campaign = _wrapped_system(self._crashing).submit(_spec(backend)).result()
+        crashes = [
+            message
+            for run in campaign.runs()
+            for job in run.jobs
+            for message in job.messages
+            if message.startswith("test crashed: RuntimeError: broken script ")
+        ]
+        assert crashes
+        reference = _wrapped_system(self._crashing).submit(_spec("simulated")).result()
+        assert _run_documents(campaign) == _run_documents(reference)
 
-    def test_process_backend_names_task_of_diverging_child_build(
-        self, sp_system, tiny_hermes
+    @pytest.mark.parametrize("backend", ["processes", "sharded"])
+    def test_dead_child_fails_the_campaign_naming_backend_and_cell(
+        self, backend, tmp_path
     ):
-        """A child-process digest mismatch surfaces with the task's name."""
-        sp_system.register_experiment(tiny_hermes)
-        package = tiny_hermes.inventory.all()[0]
-        configuration = sp_system.configuration(KEYS[0])
-        bad = BuildTask(
-            package=package,
-            configuration=configuration,
-            builder=PackageBuilder(),
-            expected_digest="not-the-digest",
-        )
-        request = ExecutionRequest(
-            dag=_tiny_dag(),
-            workers=1,
-            payloads={"c0000:build:alpha": bad},
-        )
-        with pytest.raises(SchedulingError) as error:
-            ProcessPoolBackend().execute(request)
-        message = str(error.value)
-        assert "c0000:build:alpha" in message
-        assert "BuildError" in message
+        test_pid = os.getpid()
+        round_one_done = tmp_path / "round-one-done"
 
-    def test_sharded_backend_names_task_of_failing_shard(
-        self, sp_system, tiny_hermes
-    ):
-        sp_system.register_experiment(tiny_hermes)
-        package = tiny_hermes.inventory.all()[0]
-        configuration = sp_system.configuration(KEYS[0])
-        bad = BuildTask(
-            package=package,
-            configuration=configuration,
-            builder=PackageBuilder(),
-            expected_digest="not-the-digest",
-        )
-        request = ExecutionRequest(
-            dag=_tiny_dag(),
-            workers=1,
-            shards=1,
-            payloads={"c0000:build:alpha": bad},
-        )
-        with pytest.raises(SchedulingError) as error:
-            ShardedBackend().execute(request)
-        message = str(error.value)
-        assert "c0000:build:alpha" in message
-        assert "shard" in message
+        def die_in_round_two(executor):
+            def run(context):
+                # Never exit the test process itself, whatever the backend.
+                if os.getpid() != test_pid and round_one_done.exists():
+                    os._exit(1)
+                return executor(context)
 
-    def test_sharded_backend_failing_verification_names_the_task(self):
-        def boom():
-            raise ValueError("injected replay failure")
+            return run
 
-        request = ExecutionRequest(
-            dag=_tiny_dag(),
-            workers=1,
-            shards=1,
-            payloads={"c0000:standalone-batch:000": boom},
-        )
+        system = _wrapped_system(die_in_round_two)
+        stamped = []
+
+        def on_cell(cell):
+            stamped.append(cell.run.run_id)
+            if len(stamped) == len(KEYS):
+                round_one_done.touch()
+
         with pytest.raises(SchedulingError) as error:
-            ShardedBackend().execute(request)
+            system.submit(_spec(backend, rounds=2), on_cell_complete=on_cell)
         message = str(error.value)
-        assert "c0000:standalone-batch:000" in message
-        assert "injected replay failure" in message
+        assert f"cell 2 (HERMES on {KEYS[0]}) failed on the {backend} backend" in message
+        assert "BrokenProcessPool" in message
+        assert "2 validation run(s) of the campaign remain recorded" in message
+        assert [record.run_id for record in system.catalog.all()] == stamped
+        assert len(stamped) == len(KEYS)
 
     @pytest.mark.parametrize(
         "backend_name", ["threads", "processes", "sharded"]

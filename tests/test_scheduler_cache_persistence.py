@@ -836,102 +836,8 @@ class TestWarmStartCampaigns:
         assert cold.storage.keys(BuildCache.NAMESPACE) == source_keys
 
 
-class TestShardMergeJournalAppend:
-    """Shard-merged entries reach a synced journal without a later persist.
-
-    ``merge_from`` is the sharded backend's merge primitive; when the
-    parent cache is synced to a journal (restored from it, or last to
-    persist into it), the merge appends the new entries immediately — a
-    daemon crash between the shard merge and the next explicit persist
-    loses nothing.  An unsynced cache, or one whose journal another writer
-    bumped, defers to the next ``persist_to`` exactly as before.
-    """
-
-    def _split_caches(self, inventory, configuration):
-        builder = PackageBuilder()
-        parent = BuildCache(ArtifactStore())
-        shard = BuildCache(ArtifactStore())
-        packages = inventory.all()
-        half = len(packages) // 2
-        for package in packages[:half]:
-            parent.store(
-                package, configuration, builder.build_package(package, configuration)
-            )
-        for package in packages[half:]:
-            shard.store(
-                package, configuration, builder.build_package(package, configuration)
-            )
-        return parent, shard
-
-    def test_merge_into_synced_cache_journals_without_persist(
-        self, inventory, sl5_64_gcc44
-    ):
-        parent, shard = self._split_caches(inventory, sl5_64_gcc44)
-        storage = CommonStorage()
-        assert parent.persist_to(storage) == len(parent)
-        assert parent.merge_from(shard) == len(shard)
-        # No persist_to after the merge: the journal already has them.
-        restored = BuildCache.restore_from(storage, ArtifactStore())
-        assert len(restored) == len(parent) == len(inventory.all())
-        for package in inventory.all():
-            assert restored.contains(package, sl5_64_gcc44)
-
-    def test_persist_after_journalled_merge_appends_nothing(
-        self, inventory, sl5_64_gcc44
-    ):
-        parent, shard = self._split_caches(inventory, sl5_64_gcc44)
-        storage = CommonStorage()
-        parent.persist_to(storage)
-        parent.merge_from(shard)
-        records = storage.keys(BuildCache.NAMESPACE)
-        # The merge marked the entries persisted: idempotent follow-up.
-        assert parent.persist_to(storage) == 0
-        assert storage.keys(BuildCache.NAMESPACE) == records
-
-    def test_journal_false_defers_to_the_next_persist(
-        self, inventory, sl5_64_gcc44
-    ):
-        parent, shard = self._split_caches(inventory, sl5_64_gcc44)
-        storage = CommonStorage()
-        persisted = parent.persist_to(storage)
-        merged = parent.merge_from(shard, journal=False)
-        assert merged == len(shard)
-        assert len(BuildCache.restore_from(storage, ArtifactStore())) == persisted
-        assert parent.persist_to(storage) == merged
-        assert len(BuildCache.restore_from(storage, ArtifactStore())) == len(parent)
-
-    def test_never_synced_cache_defers_to_the_first_persist(
-        self, inventory, sl5_64_gcc44
-    ):
-        parent, shard = self._split_caches(inventory, sl5_64_gcc44)
-        assert parent.merge_from(shard) == len(shard)
-        storage = CommonStorage()
-        # Nothing was journalled by the merge (there was no journal);
-        # the first persist writes the full merged cache.
-        assert parent.persist_to(storage) == len(parent)
-        assert len(parent) == len(inventory.all())
-
-    def test_foreign_epoch_bump_defers_the_append(
-        self, inventory, sl5_64_gcc44
-    ):
-        parent, shard = self._split_caches(inventory, sl5_64_gcc44)
-        storage = CommonStorage()
-        parent.persist_to(storage)
-        # A rival writer rewrites the journal, bumping its epoch.
-        rival = BuildCache.restore_from(storage, ArtifactStore())
-        rival.clear()
-        rival.persist_to(storage)
-        # The merge still lands in memory, but appending to the bumped
-        # journal would interleave two lineages — it is deferred.
-        assert parent.merge_from(shard) == len(shard)
-        assert len(BuildCache.restore_from(storage, ArtifactStore())) == 0
-        # The next persist detects the stale sync and rewrites wholesale.
-        assert parent.persist_to(storage) == len(parent)
-        assert len(BuildCache.restore_from(storage, ArtifactStore())) == len(parent)
-
-
 class TestShardedCampaignJournal:
-    """System level: sharded merges never disturb a mounted journal."""
+    """System level: a sharded campaign never disturbs a mounted journal."""
 
     def test_sharded_campaign_keeps_the_mounted_journal_consistent(self):
         from repro.scheduler.spec import CampaignSpec
@@ -949,11 +855,11 @@ class TestShardedCampaignJournal:
                 persist_spec=False,
             )
         ).result()
-        # The parent cell pass stored the second configuration's builds
-        # itself, so the shard merge replays entries the parent already
-        # has — an idempotent no-op that must not touch the synced
-        # journal's lineage.  The next persist appends exactly the new
-        # entries, after which restore equals the live cache.
+        # The parent's build pass stored the second configuration's builds
+        # in the live cache only; the shard processes compute tests and
+        # write nothing, so the synced journal is untouched.  The next
+        # persist appends exactly the new entries, after which restore
+        # equals the live cache.
         assert len(
             BuildCache.restore_from(system.storage, ArtifactStore())
         ) == before
@@ -975,5 +881,5 @@ class TestShardedCampaignJournal:
                 persist_spec=False,
             )
         ).result()
-        # Never persisted, so the merge had no journal to extend.
+        # Never persisted, so no journal exists.
         assert BuildCache.NAMESPACE not in system.storage.namespaces()

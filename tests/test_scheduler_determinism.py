@@ -20,7 +20,6 @@ from repro.core.jobs import JobStatus, ValidationJob, ValidationRun
 from repro.core.runner import RunnerSettings
 from repro.core.spsystem import SPSystem
 from repro.experiments import build_hermes_experiment
-from repro.scheduler.dag import TaskKind
 from repro.scheduler.spec import CampaignSpec
 
 
@@ -190,55 +189,6 @@ class TestBackendParity:
         assert len(executed.result().schedule.assignments) == len(
             executed.result().dag
         )
-
-    @pytest.mark.parametrize("backend", EXECUTING_BACKENDS)
-    def test_executing_backend_runs_real_build_tasks(self, backend):
-        """Build tasks are genuine BuildTask re-compilations, run exactly once.
-
-        Every build task whose compile job ran during the cell pass carries
-        a re-executable :class:`BuildTask`; each executing backend runs it
-        for real — on a worker thread, in a pooled child process, or inside
-        its cell's shard — digest-checked against the recorded result,
-        while run documents stay bit-identical: builds are pure functions
-        of the content digest.
-        """
-        seed = 20131029
-        baseline_system, baseline = _sequential_baseline(seed, KEYS)
-        system = _fresh_system(seed)
-        campaign = system.submit(_campaign_spec(backend, KEYS)).result()
-        build_tasks = {
-            task_id: payload
-            for task_id, payload in campaign.payloads.items()
-            if campaign.dag.get(task_id).kind is TaskKind.BUILD
-        }
-        real = [
-            payload for payload in build_tasks.values()
-            if isinstance(payload, BuildTask)
-        ]
-        assert real, "build tasks should carry re-executable payloads"
-        assert all(task.runs == 1 for task in real)
-        # Executed builds carry the recorded result digest to check against.
-        assert all(task.expected_digest is not None for task in real)
-        assert [run.to_document() for run in campaign.runs()] == [
-            cycle.run.to_document() for cycle in baseline
-        ]
-
-    def test_simulated_backend_leaves_build_tasks_unexecuted(self):
-        system = _fresh_system(20131029)
-        campaign = system.submit(
-            CampaignSpec(
-                configuration_keys=tuple(KEYS),
-                workers=4,
-                backend="simulated",
-                persist_spec=False,
-            )
-        ).result()
-        real = [
-            payload for payload in campaign.payloads.values()
-            if isinstance(payload, BuildTask)
-        ]
-        assert real
-        assert all(task.runs == 0 for task in real)
 
     def test_build_task_digest_check_rejects_divergence(self, sp_system, tiny_hermes):
         """A diverging re-execution fails loudly instead of passing silently."""
@@ -484,13 +434,6 @@ class TestBackendParity:
         # The second campaign is served warm: its cells hit the cache the
         # first campaign's shards merged into.
         assert second.cache_statistics.hits > 0
-        warm_tasks = [
-            payload for payload in second.payloads.values()
-            if isinstance(payload, BuildTask)
-        ]
-        assert warm_tasks
-        assert all(task.expected_digest is not None for task in warm_tasks)
-        assert all(task.runs == 1 for task in warm_tasks)
         # Science and cache accounting match the simulated pair exactly.
         assert [run.to_document() for run in first.runs()] == [
             run.to_document() for run in reference_first.runs()

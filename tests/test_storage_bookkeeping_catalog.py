@@ -49,6 +49,13 @@ class TestJobIdAllocator:
         assert second == "sp-000002"
         assert allocator.allocated_count == 2
 
+    def test_peek_names_future_ids_without_allocating(self):
+        allocator = JobIdAllocator()
+        assert allocator.peek() == "sp-000001"
+        assert allocator.peek(2) == "sp-000003"
+        assert allocator.allocated_count == 0
+        assert [allocator.allocate() for _ in range(3)][2] == "sp-000003"
+
     def test_custom_prefix(self):
         assert JobIdAllocator(prefix="h1").allocate().startswith("h1-")
 

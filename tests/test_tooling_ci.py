@@ -96,11 +96,11 @@ class TestCiScript:
         assert "telemetry-purity audit" in source
         assert "src/repro/telemetry" in source
         assert "src/repro/hepdata" in source
-        # ... the bench-trend gate ...
+        # ... and the bench-trend gate, in nine stages: the tier-1 run
+        # already covers every backend, so no separate parity shard.
         assert "bench-trends check" in source
-        # ... and the explicit backend-parity shard.
-        assert "REPRO_PARITY_BACKENDS=simulated,threads,processes" in source
-        assert "test_scheduler_determinism.py" in source
+        assert "stage 9/9" in source and "/10" not in source
+        assert "REPRO_PARITY_BACKENDS" not in source
 
 
 class TestHistoryLedgerWriteAudit:
