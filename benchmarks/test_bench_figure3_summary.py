@@ -19,6 +19,7 @@ import pytest
 
 from repro.core.spsystem import SPSystem
 from repro.reporting.summary import ValidationSummaryBuilder
+from repro.scheduler.spec import CampaignSpec
 
 from conftest import emit, emit_text
 
@@ -37,11 +38,14 @@ def run_campaign(experiments, rounds=CAMPAIGN_ROUNDS):
     runs = []
     for round_index in range(rounds):
         for experiment in experiments:
-            results = system.validate_everywhere(
-                experiment.name,
-                description=f"{experiment.name} regular validation round {round_index:02d}",
-            )
-            runs.extend(result.run for result in results)
+            campaign = system.submit(
+                CampaignSpec(
+                    experiments=(experiment.name,),
+                    description=f"{experiment.name} regular validation round {round_index:02d}",
+                    persist_spec=False,
+                )
+            ).result()
+            runs.extend(campaign.runs())
     return system, runs
 
 

@@ -50,11 +50,19 @@ def _sequential_campaign():
     return system, results
 
 
+def _campaign_spec(workers):
+    return CampaignSpec(
+        experiments=("HERMES",),
+        configuration_keys=tuple(CONFIGURATIONS),
+        workers=workers,
+        rounds=ROUNDS,
+        persist_spec=False,
+    )
+
+
 def _scheduled_campaign(workers):
     system = _fresh_system()
-    campaign = system.run_campaign(
-        ["HERMES"], CONFIGURATIONS, workers=workers, rounds=ROUNDS
-    )
+    campaign = system.submit(_campaign_spec(workers)).result()
     return system, campaign
 
 
@@ -63,9 +71,7 @@ def _warm_campaign(cold_system):
     cold_system.persist_build_cache()
     system = _fresh_system()
     system.restore_build_cache(cold_system.storage)
-    campaign = system.run_campaign(
-        ["HERMES"], CONFIGURATIONS, workers=4, rounds=ROUNDS
-    )
+    campaign = system.submit(_campaign_spec(4)).result()
     return system, campaign
 
 

@@ -10,13 +10,12 @@ build cache replays every identical package build of the second round.  The
 scientific output — run documents and catalogue records — is bit-identical
 to the sequential path; only the campaign's wall-clock story changes.
 
-The second half demonstrates the pluggable execution backends and the
-cross-campaign features: the same spec (serialised to JSON and back —
-exactly what ``campaign --spec file.json`` does) is replayed on the
-backends that compute the cells' tests in parallel — threads (a thread
-pool), processes (child processes forked once per campaign, one task per
-cell) and sharded (each round's cells round-robined over forked shard
-processes) — with run documents identical to the simulated backend; two
+The second half demonstrates the process backend and the cross-campaign
+features: the same spec (serialised to JSON and back — exactly what
+``campaign --spec file.json`` does) is replayed on the ``processes``
+backend, which computes the cells' tests in child processes forked once
+per campaign, one task per cell, with run documents identical to the
+simulated backend; two
 experiments pinning the same external packages share builds through the
 experiment-agnostic content-addressed cache keys and warm-start each other
 across installations via the append-only ``buildcache`` journal, and the
@@ -94,28 +93,21 @@ def main() -> None:
     if len(rows) > 10:
         print(f"  ... and {len(rows) - 10} more")
 
-    # -- the same spec on the parallel backends -------------------------------
-    # Setting shards on a default spec selects the sharded backend.
-    replays = [
-        ("threads", dict(backend="threads"), "on a thread pool"),
-        ("processes", dict(backend="processes"), "in forked child processes"),
-        ("sharded", dict(shards=2), "round-robined over 2 forked shard processes"),
-    ]
-    for name, options, where in replays:
-        print(f"\nReplaying the identical spec on the {name} backend "
-              f"(tests computed {where})...")
-        # to_dict()/from_dict() is the same round trip `campaign --spec` uses.
-        replayed_spec = CampaignSpec.from_dict(dict(spec.to_dict(), **options))
-        replayed = _fresh_system().submit(replayed_spec).result()
-        identical = (
-            [run.to_document() for run in replayed.runs()]
-            == [run.to_document() for run in campaign.runs()]
-        )
-        print(f"  backend {replayed.schedule.backend!r}: "
-              f"{replayed.n_cells} cells, simulated makespan "
-              f"{replayed.schedule.makespan_seconds:,.0f} s on "
-              f"{replayed.schedule.total_slots} slots")
-        print(f"  run documents identical to the simulated backend: {identical}")
+    # -- the same spec on the process backend ---------------------------------
+    print("\nReplaying the identical spec on the processes backend "
+          "(tests computed in forked child processes)...")
+    # to_dict()/from_dict() is the same round trip `campaign --spec` uses.
+    replayed_spec = CampaignSpec.from_dict(dict(spec.to_dict(), backend="processes"))
+    replayed = _fresh_system().submit(replayed_spec).result()
+    identical = (
+        [run.to_document() for run in replayed.runs()]
+        == [run.to_document() for run in campaign.runs()]
+    )
+    print(f"  backend {replayed.schedule.backend!r}: "
+          f"{replayed.n_cells} cells, simulated makespan "
+          f"{replayed.schedule.makespan_seconds:,.0f} s on "
+          f"{replayed.schedule.total_slots} slots")
+    print(f"  run documents identical to the simulated backend: {identical}")
 
     # -- journal persistence and warm-start on a fresh installation -----------
     print("\nPersisting the build-cache journal and warm-starting a fresh "

@@ -10,7 +10,7 @@ This example reproduces the everyday use of the validation framework:
    tests and the analysis chains — on the established SL5/64bit platform;
 4. submit a :class:`~repro.scheduler.spec.CampaignSpec` through the unified
    ``SPSystem.submit`` facade to validate H1 everywhere (simulated pool),
-   then replay the same spec on the real wall-clock thread backend;
+   then replay the same spec on the forked process backend;
 5. print the resulting status summary and the generated status web page key.
 
 Run with::
@@ -65,24 +65,24 @@ def main() -> None:
           f"simulated makespan {campaign.schedule.makespan_seconds:,.0f} s "
           f"({campaign.schedule.speedup:.2f}x speedup on 2 workers)")
 
-    print("\nReplaying the identical spec on the wall-clock thread backend...")
-    threaded_system = SPSystem()
-    threaded_system.provision_standard_images()
-    threaded_system.register_experiment(build_h1_experiment(scale=0.25))
+    print("\nReplaying the identical spec on the forked process backend...")
+    forked_system = SPSystem()
+    forked_system.provision_standard_images()
+    forked_system.register_experiment(build_h1_experiment(scale=0.25))
     # Replay the full history: run IDs and simulated timestamps continue
     # from the quickstart validation, so it must happen here too before the
     # campaigns can be compared document by document.
-    threaded_system.validate("H1", "SL5_64bit_gcc4.4", description="quickstart run")
-    threaded = threaded_system.submit(
-        CampaignSpec.from_dict(dict(spec.to_dict(), backend="threads"))
+    forked_system.validate("H1", "SL5_64bit_gcc4.4", description="quickstart run")
+    forked = forked_system.submit(
+        CampaignSpec.from_dict(dict(spec.to_dict(), backend="processes"))
     ).result()
     identical = (
-        [r.to_document() for r in threaded.runs()]
+        [r.to_document() for r in forked.runs()]
         == [r.to_document() for r in campaign.runs()]
     )
-    print(f"  {len(threaded.schedule.assignments)} DAG tasks executed on "
-          f"{threaded.schedule.total_slots} real threads in "
-          f"{threaded.schedule.makespan_seconds:.3f} s wall clock; "
+    print(f"  {forked.n_cells} cells computed in up to "
+          f"{forked.schedule.total_slots} forked processes; simulated makespan "
+          f"{forked.schedule.makespan_seconds:,.0f} s; "
           f"run documents identical to the simulated pool: {identical}")
 
     print("\nGenerating the script-based status web pages...")

@@ -8,7 +8,7 @@ end so the framework can be driven without writing Python::
     python -m repro.cli validate --experiment H1 --configuration SL6_64bit_gcc4.4
     python -m repro.cli campaign --scale 0.15 --output /tmp/sp-storage
     python -m repro.cli campaign --workers 4 --policy critical-path --output /tmp/sp-storage
-    python -m repro.cli campaign --workers 4 --backend threads
+    python -m repro.cli campaign --workers 4 --backend processes
     python -m repro.cli campaign --spec my-campaign.json --cache-budget-mb 16
     python -m repro.cli campaign --no-cache
     python -m repro.cli cache-stats --cache-dir /tmp/sp-storage
@@ -181,16 +181,9 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=sorted(EXECUTION_BACKENDS),
                           help="execution backend, i.e. where the cells' tests "
                                "run: 'simulated' computes them inline, "
-                               "'threads' on a thread pool, 'processes' in "
-                               "forked child processes (one task per cell), "
-                               "'sharded' round-robined over forked shard "
-                               "processes; every backend reports the same "
-                               "simulated timeline (default simulated)")
-    campaign.add_argument("--shards", type=_positive_int, default=None,
-                          help="shard count for the sharded backend (implies "
-                               "--backend sharded): each round's cells are "
-                               "round-robined over this many forked worker "
-                               "processes, one task per shard")
+                               "'processes' in workers x slots forked child "
+                               "processes (one task per cell); both report "
+                               "the same simulated timeline (default simulated)")
     campaign.add_argument("--spec", default=None, metavar="FILE",
                           help="submit the CampaignSpec JSON document in FILE "
                                "instead of building one from the flags above "
@@ -608,14 +601,6 @@ def _cmd_campaign(arguments: argparse.Namespace) -> int:
     if arguments.no_cache:
         # Folded into the spec for the same replayability reason.
         spec = CampaignSpec.from_dict(dict(spec.to_dict(), use_cache=False))
-    if arguments.shards is not None:
-        # Folded into the spec (winning over a --spec file's own value); a
-        # spec still on the default "simulated" backend switches to the
-        # sharded backend, an explicit incompatible --backend is rejected by
-        # the spec validation on submit.
-        spec = CampaignSpec.from_dict(
-            dict(spec.to_dict(), shards=arguments.shards)
-        )
     if arguments.record_history:
         if not arguments.output:
             # Like --cache-budget-mb: the ledger exists for longitudinal

@@ -10,9 +10,8 @@ library; the examples and the figure benchmarks drive everything through it.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro._common import ReproError, SchedulingError, StorageError, ValidationError
 from repro.buildsys.builder import PackageBuilder
@@ -41,12 +40,7 @@ from repro.plugins import campaign_plugin
 from repro.plugins.history_recorder import HistoryRecorderPlugin
 from repro.plugins.interventions import InterventionStore, new_intervention_tracker
 from repro.scheduler.cache import BuildCache, CachingPackageBuilder
-from repro.scheduler.campaign import (
-    DEFAULT_BATCH_SIZE,
-    CampaignCell,
-    CampaignResult,
-    CampaignScheduler,
-)
+from repro.scheduler.campaign import CampaignCell, CampaignResult, CampaignScheduler
 from repro.scheduler.lifecycle import (
     EVENT_CAMPAIGN_FINISHED,
     EVENT_EVOLUTION_RECORDED,
@@ -56,7 +50,7 @@ from repro.scheduler.lifecycle import (
     LifecycleObserver,
     PluginRegistry,
 )
-from repro.scheduler.pool import SCHEDULING_POLICIES, SchedulingPolicy, WorkerFailure
+from repro.scheduler.pool import SchedulingPolicy
 from repro.scheduler.spec import CampaignSpec
 from repro.storage.artifacts import ArtifactStore
 from repro.storage.bookkeeping import JobIdAllocator, SimulatedClock, TagRegistry
@@ -187,8 +181,8 @@ class SPSystem:
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         # A pre-populated storage (e.g. CommonStorage.load of a previous
         # installation's persisted state) is mounted as-is: the catalogue
-        # re-hydrates its run records from it and run_campaign warm-starts
-        # the build cache from its `buildcache` namespace.
+        # re-hydrates its run records from it and submit warm-starts the
+        # build cache from its `buildcache` namespace.
         self.storage = storage if storage is not None else CommonStorage()
         self.catalog = RunCatalog(self.storage)
         self.artifact_store = ArtifactStore()
@@ -464,7 +458,6 @@ class SPSystem:
             backend=spec.backend,
             cache_budget_bytes=spec.cache_budget_bytes,
             use_cache=spec.use_cache,
-            shards=spec.shards,
             lifecycle=self.lifecycle,
         )
         requests = (
@@ -653,116 +646,6 @@ class SPSystem:
         if source is not self.storage:
             self._mount_namespace_from(source, InterventionStore.NAMESPACE)
         return InterventionStore(self.storage)
-
-    # -- deprecated kwarg entrypoints (thin shims over submit) -----------------
-    def run_campaign(
-        self,
-        experiment_names: Optional[Iterable[str]] = None,
-        configuration_keys: Optional[Iterable[str]] = None,
-        description: Optional[str] = None,
-        workers: int = 1,
-        rounds: int = 1,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        failures: Iterable[WorkerFailure] = (),
-        policy: Optional[str] = None,
-        deadline_seconds: Optional[float] = None,
-        warm_start: bool = True,
-        backend: str = "simulated",
-    ) -> CampaignResult:
-        """Deprecated: build a :class:`CampaignSpec` and call :meth:`submit`."""
-        warnings.warn(
-            "SPSystem.run_campaign is deprecated; build a CampaignSpec and "
-            "call SPSystem.submit(spec)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        # A policy *instance* cannot travel in the serialisable spec; it is
-        # handed to submit() as an override, and the spec records its
-        # registry name (or the default for unregistered custom policies).
-        policy_instance = policy if isinstance(policy, SchedulingPolicy) else None
-        if policy_instance is not None:
-            policy_name = (
-                policy_instance.name
-                if policy_instance.name in SCHEDULING_POLICIES
-                else "fifo"
-            )
-        else:
-            policy_name = policy or "fifo"
-        spec = CampaignSpec(
-            experiments=(
-                None if experiment_names is None else tuple(experiment_names)
-            ),
-            configuration_keys=(
-                None if configuration_keys is None else tuple(configuration_keys)
-            ),
-            description=description,
-            workers=workers,
-            rounds=rounds,
-            batch_size=batch_size,
-            failures=tuple(failures),
-            policy=policy_name,
-            deadline_seconds=deadline_seconds,
-            backend=backend,
-            warm_start=warm_start,
-            # The legacy entrypoints never wrote to the storage; keeping the
-            # shims record-free preserves byte-identical persisted state.
-            persist_spec=False,
-        )
-        return self.submit(spec, policy=policy_instance).result()
-
-    def validate_everywhere(
-        self,
-        experiment_name: str,
-        configuration_keys: Optional[Iterable[str]] = None,
-        description: Optional[str] = None,
-        workers: int = 1,
-    ) -> List[ValidationCycleResult]:
-        """Deprecated: build a :class:`CampaignSpec` and call :meth:`submit`."""
-        warnings.warn(
-            "SPSystem.validate_everywhere is deprecated; build a CampaignSpec "
-            "and call SPSystem.submit(spec)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        spec = CampaignSpec(
-            experiments=(experiment_name,),
-            configuration_keys=(
-                None if configuration_keys is None else tuple(configuration_keys)
-            ),
-            description=description,
-            workers=workers,
-            persist_spec=False,
-        )
-        return self.submit(spec).result().cycles_for(experiment_name)
-
-    def validate_all_experiments(
-        self,
-        configuration_keys: Optional[Iterable[str]] = None,
-        workers: int = 1,
-        rounds: int = 1,
-    ) -> Dict[str, List[ValidationCycleResult]]:
-        """Deprecated: build a :class:`CampaignSpec` and call :meth:`submit`."""
-        warnings.warn(
-            "SPSystem.validate_all_experiments is deprecated; build a "
-            "CampaignSpec and call SPSystem.submit(spec)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        spec = CampaignSpec(
-            configuration_keys=(
-                None if configuration_keys is None else tuple(configuration_keys)
-            ),
-            workers=workers,
-            rounds=rounds,
-            persist_spec=False,
-        )
-        campaign = self.submit(spec).result()
-        results: Dict[str, List[ValidationCycleResult]] = {
-            experiment.name: [] for experiment in self.experiments()
-        }
-        for name, cycles in campaign.by_experiment().items():
-            results[name] = cycles
-        return results
 
     # -- recipes and freezing ------------------------------------------------------
     def publish_recipe(self, result: ValidationCycleResult) -> ValidatedRecipe:

@@ -277,10 +277,6 @@ def campaign_schedule_rows(
         {"quantity": "scheduling policy", "value": schedule.policy},
         {"quantity": "workers", "value": schedule.n_workers},
         {"quantity": "slots per worker", "value": schedule.slots_per_worker},
-    ]
-    if getattr(schedule, "shards", 0):
-        rows.append({"quantity": "shards", "value": schedule.shards})
-    rows += [
         {"quantity": "sequential seconds", "value": f"{schedule.sequential_seconds:.0f}"},
         {"quantity": "pooled makespan seconds", "value": f"{schedule.makespan_seconds:.0f}"},
         {"quantity": "critical path seconds", "value": f"{schedule.critical_path_seconds:.0f}"},

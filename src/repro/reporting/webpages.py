@@ -181,13 +181,11 @@ class StatusPageGenerator:
             else schedule.deadline_seconds
         )
         late = set(schedule.late_cells(effective_deadline))
-        shards = getattr(schedule, "shards", 0)
         header = (
             "<h1>Validation campaign</h1>"
             f"<p>{result.n_cells} matrix cells over {schedule.n_workers} worker(s), "
-            f"backend <b>{html.escape(schedule.backend)}</b>"
-            + (f" ({shards} shard(s))" if shards else "")
-            + f", policy <b>{html.escape(schedule.policy)}</b> &mdash; "
+            f"backend <b>{html.escape(schedule.backend)}</b>, "
+            f"policy <b>{html.escape(schedule.policy)}</b> &mdash; "
             f"makespan {schedule.makespan_seconds:,.0f} s "
             f"(sequential {schedule.sequential_seconds:,.0f} s, "
             f"{schedule.speedup:.2f}x speedup, "

@@ -14,14 +14,12 @@ from repro.scheduler.backends import (
     ExecutionBackend,
     ExecutionRequest,
     SimulatedBackend,
-    ThreadPoolBackend,
     execution_backend,
 )
 from repro.scheduler.cache import (
     BuildCache,
     CacheStatistics,
     CachingPackageBuilder,
-    build_cache_key,
     package_identity_digest,
 )
 from repro.scheduler.campaign import CampaignCell, CampaignResult, CampaignScheduler
@@ -45,7 +43,6 @@ __all__ = [
     "ExecutionBackend",
     "ExecutionRequest",
     "SimulatedBackend",
-    "ThreadPoolBackend",
     "execution_backend",
     "DEFAULT_BATCH_SIZE",
     "CampaignSpec",
@@ -53,7 +50,6 @@ __all__ = [
     "BuildCache",
     "CacheStatistics",
     "CachingPackageBuilder",
-    "build_cache_key",
     "package_identity_digest",
     "CampaignCell",
     "CampaignResult",

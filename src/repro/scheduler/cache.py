@@ -145,13 +145,6 @@ _IDENTITY_DIGESTS: Dict[
 _IDENTITY_DIGESTS_MAX = 65536
 
 
-def build_cache_key(
-    package: SoftwarePackage, configuration: EnvironmentConfiguration
-) -> str:
-    """Legacy name of :func:`package_identity_digest` (same digest)."""
-    return package_identity_digest(package, configuration)
-
-
 @dataclass
 class CacheStatistics:
     """Hit/miss accounting of one build cache (or one campaign's slice of it).
@@ -896,7 +889,6 @@ class CachingPackageBuilder(PackageBuilder):
 
 __all__ = [
     "package_identity_digest",
-    "build_cache_key",
     "CacheStatistics",
     "BuildCache",
     "CachingPackageBuilder",

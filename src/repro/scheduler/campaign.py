@@ -1,17 +1,21 @@
 """The campaign scheduler: a validation matrix run as one planned campaign.
 
-:class:`CampaignScheduler` expands (experiments x configurations x rounds)
-— or an explicit list of :class:`~repro.scheduler.spec.ValidationRequest`
-cells — into the ordered list of matrix cells and works them round by
-round, in three passes over the round's cells:
+:meth:`SPSystem.submit <repro.core.spsystem.SPSystem.submit>` is the one
+way to run a campaign: it expands its
+:class:`~repro.scheduler.spec.CampaignSpec` into the ordered list of matrix
+cells (the experiments x configurations cross product through
+:meth:`CampaignScheduler.expand_matrix`, or the spec's explicit
+:class:`~repro.scheduler.spec.ValidationRequest` cells), and
+:meth:`CampaignScheduler.run_requests` works them round by round, in three
+passes over the round's cells:
 
 1. build every cell, serially in matrix order, through the content-hash
    build cache layered over the package builder, so cache lookups and
    statistics are those of the sequential path;
 2. let the :class:`~repro.scheduler.backends.ExecutionBackend` map
    :meth:`~repro.core.runner.ValidationRunner.compute` over the round
-   (inline, on threads or in forked processes), each cell with the run ID
-   it will be stamped with reserved up front;
+   (inline or in forked processes), each cell with the run ID it will be
+   stamped with reserved up front;
 3. stamp every cell, serially in matrix order, through
    :meth:`SPSystem.validate <repro.core.spsystem.SPSystem.validate>` (job
    IDs, clock, storage, compare, diagnosis, tickets, workflow), then emit
@@ -159,7 +163,6 @@ class CampaignScheduler:
         backend: Union[str, ExecutionBackend, None] = None,
         cache_budget_bytes: Optional[int] = None,
         use_cache: bool = True,
-        shards: Optional[int] = None,
         lifecycle: Optional[PluginRegistry] = None,
         campaign_id: Optional[str] = None,
     ) -> None:
@@ -167,8 +170,6 @@ class CampaignScheduler:
             raise SchedulingError("a campaign needs at least one worker")
         if batch_size < 1:
             raise SchedulingError("standalone test batches need at least one slot")
-        if shards is not None and shards < 1:
-            raise SchedulingError("a sharded campaign needs at least one shard")
         if cache_budget_bytes is not None and cache_budget_bytes < 0:
             raise SchedulingError("a cache size budget cannot be negative")
         if cache_budget_bytes is not None and not use_cache:
@@ -189,8 +190,6 @@ class CampaignScheduler:
         self.cache_budget_bytes = cache_budget_bytes
         #: ``False`` runs the cold path: no cache layered over the builder.
         self.use_cache = use_cache
-        #: Shard count handed to the sharded backend (None = worker count).
-        self.shards = shards
         #: Lifecycle event bus (None = no events emitted, the direct
         #: scheduler-use path) and the campaign ID events are tagged with.
         self.lifecycle = lifecycle
@@ -210,8 +209,8 @@ class CampaignScheduler:
         """One round of cross-product requests, in sequential-path order.
 
         Either side being None means "all registered" — this is the single
-        home of that rule; the :meth:`SPSystem.submit` facade expands specs
-        through it too.
+        home of that rule; :meth:`SPSystem.submit` expands cross-product
+        specs through it.
         """
         names = (
             list(experiment_names)
@@ -228,22 +227,6 @@ class CampaignScheduler:
             for name in names
             for key in keys
         ]
-
-    def run(
-        self,
-        experiment_names: Optional[Iterable[str]] = None,
-        configuration_keys: Optional[Iterable[str]] = None,
-        description: Optional[str] = None,
-        rounds: int = 1,
-        on_cell_complete: Optional[CellCallback] = None,
-    ) -> CampaignResult:
-        """Execute the cross-product campaign and return its result."""
-        return self.run_requests(
-            self.expand_matrix(experiment_names, configuration_keys),
-            description=description,
-            rounds=rounds,
-            on_cell_complete=on_cell_complete,
-        )
 
     def run_requests(
         self,
@@ -275,7 +258,6 @@ class CampaignScheduler:
             failures=self.failures,
             policy=self.policy,
             deadline_seconds=self.deadline_seconds,
-            shards=self.shards,
             lifecycle=self.lifecycle,
             campaign_id=self.campaign_id,
             telemetry=self.telemetry,

@@ -198,10 +198,6 @@ class PoolSchedule:
     #: Execution backend the campaign ran on.  Every backend reports this
     #: simulated timeline; only the cells' computation ran differently.
     backend: str = "simulated"
-    #: Shard count of a sharded campaign (0 for unsharded backends).  The
-    #: sharded timeline has one single-slot worker per shard, so
-    #: ``n_workers`` equals the shard count and ``slots_per_worker`` is 1.
-    shards: int = 0
 
     @property
     def total_slots(self) -> int:

@@ -1,13 +1,13 @@
-"""Request objects for the unified execution API.
+"""Request objects for the execution API.
 
-A validation campaign used to be described by the keyword arguments of four
-overlapping ``SPSystem`` entrypoints.  This module turns that description
-into data: a frozen :class:`CampaignSpec` names everything a campaign needs
-(the matrix, the pool, the policy, the execution backend and the cache
-options), round-trips losslessly through :meth:`CampaignSpec.to_dict` /
-:meth:`CampaignSpec.from_dict`, and therefore persists into the common
-sp-system storage — a spec loaded back from a previous installation replays
-the byte-identical campaign.
+A validation campaign is described by data: a frozen :class:`CampaignSpec`
+names everything a campaign needs (the matrix, the pool, the policy, the
+execution backend and the cache options), and
+:meth:`SPSystem.submit <repro.core.spsystem.SPSystem.submit>` is the one way
+to run it.  The spec round-trips losslessly through
+:meth:`CampaignSpec.to_dict` / :meth:`CampaignSpec.from_dict`, and therefore
+persists into the common sp-system storage — a spec loaded back from a
+previous installation replays the byte-identical campaign.
 
 Two shapes of matrix are supported.  The common one is the cross product:
 *experiments* x *configuration_keys* (either side ``None`` meaning "all
@@ -112,14 +112,7 @@ class CampaignSpec:
     deadline_seconds: Optional[float] = None
     #: Execution backend name from the backend registry.
     backend: str = "simulated"
-    #: Shard count for the sharded backend: each round's cells are
-    #: round-robined over this many forked worker processes.  Setting ``shards``
-    #: while leaving ``backend`` at its "simulated" default selects the
-    #: sharded backend; an explicit non-sharded backend combined with
-    #: ``shards`` is rejected by :meth:`validate`.  ``None`` on the sharded
-    #: backend defaults the shard count to ``workers``.
-    shards: Optional[int] = None
-    #: Injected worker failures (simulated backend only).
+    #: Worker failures injected into the campaign's simulated timeline.
     failures: Tuple[WorkerFailure, ...] = ()
     #: Restore a persisted build-cache journal before the first campaign.
     warm_start: bool = True
@@ -173,11 +166,6 @@ class CampaignSpec:
             # A bare string would explode into per-character "plugins" via
             # tuple(); leave it for _check_types to reject with a clear error.
             object.__setattr__(self, "plugins", tuple(self.plugins))
-        # ``shards=N`` alone is the ergonomic spelling of the sharded
-        # backend; the normalisation happens here so the serialised spec
-        # (and therefore every replay) records backend="sharded" explicitly.
-        if self.shards is not None and self.backend == "simulated":
-            object.__setattr__(self, "backend", "sharded")
 
     # -- validation -----------------------------------------------------------
     def _check_types(self) -> None:
@@ -199,7 +187,7 @@ class CampaignSpec:
         for name in ("workers", "rounds", "batch_size"):
             if not is_int(getattr(self, name)):
                 fail(name, "an integer")
-        for name in ("slots_per_worker", "cache_budget_bytes", "shards"):
+        for name in ("slots_per_worker", "cache_budget_bytes"):
             value = getattr(self, name)
             if value is not None and not is_int(value):
                 fail(name, "an integer or null")
@@ -258,13 +246,6 @@ class CampaignSpec:
             )
         if self.slots_per_worker is not None and self.slots_per_worker < 1:
             raise SchedulingError("slots per worker must be positive")
-        if self.shards is not None and self.shards < 1:
-            raise SchedulingError("a sharded campaign needs at least one shard")
-        if self.shards is not None and self.backend != "sharded":
-            raise SchedulingError(
-                "campaign spec field 'shards' requires the 'sharded' "
-                f"backend, not {self.backend!r}"
-            )
         if self.deadline_seconds is not None and self.deadline_seconds <= 0:
             raise SchedulingError("a campaign deadline must be positive")
         if self.on_deadline not in ON_DEADLINE_MODES:
@@ -311,11 +292,6 @@ class CampaignSpec:
                 "a campaign spec takes either an explicit request list or an "
                 "experiments x configurations cross product, not both"
             )
-        if self.failures and self.backend != "simulated":
-            raise SchedulingError(
-                "worker failure injection is a feature of the simulated "
-                f"backend; the {self.backend!r} backend executes for real"
-            )
 
     # -- persistence ----------------------------------------------------------
     def to_dict(self) -> Dict[str, object]:
@@ -342,7 +318,6 @@ class CampaignSpec:
             "policy": self.policy,
             "deadline_seconds": self.deadline_seconds,
             "backend": self.backend,
-            "shards": self.shards,
             "failures": [
                 [failure.worker_index, failure.at_seconds]
                 for failure in self.failures
@@ -363,19 +338,35 @@ class CampaignSpec:
 
         Unknown keys are rejected (a typo in a hand-written spec file must
         not silently fall back to a default), missing keys take the
-        dataclass defaults.
+        dataclass defaults.  Documents written while the ``threads`` and
+        ``sharded`` backends existed carry a ``shards`` field: a null one is
+        dropped, ``threads`` reads as ``simulated`` and ``sharded`` (N
+        shards, default ``workers``) as ``processes`` with N single-slot
+        workers, which record the same science and report the same
+        timeline.
         """
         if not isinstance(payload, dict):
             raise SchedulingError(
                 f"a campaign spec document must be a mapping, got {payload!r}"
             )
+        kwargs: Dict[str, object] = dict(payload)
+        if "shards" in kwargs and kwargs["shards"] is None:
+            del kwargs["shards"]
+        if kwargs.get("backend") == "threads":
+            kwargs["backend"] = "simulated"
+        elif kwargs.get("backend") == "sharded":
+            shards = kwargs.pop("shards", None)
+            kwargs.update(
+                backend="processes",
+                workers=kwargs.get("workers", 1) if shards is None else shards,
+                slots_per_worker=1,
+            )
         known = {name for name in cls.__dataclass_fields__}
-        unknown = sorted(set(payload) - known)
+        unknown = sorted(set(kwargs) - known)
         if unknown:
             raise SchedulingError(
                 "unknown campaign spec field(s): " + ", ".join(unknown)
             )
-        kwargs: Dict[str, object] = dict(payload)
         if kwargs.get("requests") is not None:
             requests = kwargs["requests"]
             if isinstance(requests, str) or not hasattr(requests, "__iter__"):

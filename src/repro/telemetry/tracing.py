@@ -14,7 +14,7 @@ exported two ways:
 Determinism contract: span *durations* are wall-ish (monotonic clock)
 and excluded from every bit-identity suite, but the span *sequence*
 emitted by the deterministic cell pass (``category="cell"``) must be
-identical on all four backends — :func:`SpanTracer.sequence` extracts
+identical on both backends — :func:`SpanTracer.sequence` extracts
 exactly that comparable shape and ``TestBackendParity`` pins it.
 
 Categories partition the tree: ``cell`` for the deterministic cell pass,

@@ -227,15 +227,16 @@ class TestCommandLineInterface:
 
     def test_campaign_backend_flag(self, capsys):
         assert cli_main([
-            "campaign", "--scale", "0.1", "--backend", "threads", "--workers", "2",
+            "campaign", "--scale", "0.1", "--backend", "processes", "--workers", "2",
         ]) == 0
         output = capsys.readouterr().out
-        assert "'threads' backend" in output
+        assert "'processes' backend" in output
         assert "execution backend" in output
 
-    def test_campaign_rejects_unknown_backend(self, capsys):
+    @pytest.mark.parametrize("backend", ["mpi", "threads", "sharded"])
+    def test_campaign_rejects_unknown_backend(self, backend, capsys):
         with pytest.raises(SystemExit):
-            cli_main(["campaign", "--backend", "mpi"])
+            cli_main(["campaign", "--backend", backend])
         assert "invalid choice" in capsys.readouterr().err
 
     def test_campaign_spec_file(self, tmp_path, capsys):

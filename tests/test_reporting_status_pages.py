@@ -21,6 +21,7 @@ from repro.reporting.webpages import (
     STATUS_COLOURS,
     StatusPageGenerator,
 )
+from repro.scheduler.spec import CampaignSpec
 from repro.storage.catalog import RunRecord
 
 
@@ -35,10 +36,16 @@ def campaign_system():
     )
     system.provision_standard_images()
     system.register_experiment(build_hermes_experiment(scale=0.2))
-    campaign = system.run_campaign(
-        ["HERMES"], ["SL5_64bit_gcc4.4", "SL6_64bit_gcc4.4"],
-        workers=2, policy="critical-path", deadline_seconds=1.0,
-    )
+    campaign = system.submit(
+        CampaignSpec(
+            experiments=("HERMES",),
+            configuration_keys=("SL5_64bit_gcc4.4", "SL6_64bit_gcc4.4"),
+            workers=2,
+            policy="critical-path",
+            deadline_seconds=1.0,
+            persist_spec=False,
+        )
+    ).result()
     pages = StatusPageGenerator(system.storage, system.catalog)
     pages.campaign_page(campaign)
     pages.index_page()
@@ -157,7 +164,13 @@ class TestCampaignPage:
         )
         system.provision_standard_images()
         system.register_experiment(build_hermes_experiment(scale=0.2))
-        campaign = system.run_campaign(["HERMES"], ["SL5_64bit_gcc4.4"])
+        campaign = system.submit(
+            CampaignSpec(
+                experiments=("HERMES",),
+                configuration_keys=("SL5_64bit_gcc4.4",),
+                persist_spec=False,
+            )
+        ).result()
         generator = StatusPageGenerator(system.storage, system.catalog)
         generator.campaign_page(campaign)
         for cell in campaign.cells:

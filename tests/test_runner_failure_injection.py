@@ -23,7 +23,9 @@ from repro.core.testspec import (
     TestOutput,
     ValidationTestSpec,
 )
+from repro.scheduler.backends import EXECUTION_BACKENDS
 from repro.scheduler.pool import WorkerFailure
+from repro.scheduler.spec import CampaignSpec
 
 
 def _minimal_inventory(name="FAULTEXP"):
@@ -237,21 +239,26 @@ class TestSchedulerFailureInjection:
         )
         return _experiment(standalone=[export_test], chains=[chain])
 
-    def test_worker_death_reassigns_and_preserves_statuses(self):
+    def _spec(self, keys, **options):
+        return CampaignSpec(
+            experiments=("FAULTEXP",),
+            configuration_keys=tuple(keys),
+            persist_spec=False,
+            **options,
+        )
+
+    @pytest.mark.parametrize("backend", tuple(EXECUTION_BACKENDS))
+    def test_worker_death_reassigns_and_preserves_statuses(self, backend):
         experiment = self._broken_chain_experiment()
+        keys = ("SL5_64bit_gcc4.4", "SL6_64bit_gcc4.4")
         baseline_system = self._system(experiment)
-        baseline = [
-            baseline_system.validate("FAULTEXP", key)
-            for key in ("SL5_64bit_gcc4.4", "SL6_64bit_gcc4.4")
-        ]
+        baseline = [baseline_system.validate("FAULTEXP", key) for key in keys]
+        failures = (WorkerFailure(worker_index=0, at_seconds=50.0),)
 
         system = self._system(experiment)
-        campaign = system.run_campaign(
-            ["FAULTEXP"],
-            ["SL5_64bit_gcc4.4", "SL6_64bit_gcc4.4"],
-            workers=2,
-            failures=[WorkerFailure(worker_index=0, at_seconds=50.0)],
-        )
+        campaign = system.submit(
+            self._spec(keys, backend=backend, workers=2, failures=failures)
+        ).result()
         # The dead worker's in-flight tasks were retried on the survivor...
         assert campaign.schedule.failed_workers == (0,)
         assert campaign.schedule.n_retries > 0
@@ -264,12 +271,20 @@ class TestSchedulerFailureInjection:
         assert [run.to_document() for run in campaign.runs()] == [
             cycle.run.to_document() for cycle in baseline
         ]
+        # The failure acts on the simulated timeline, alike on every backend.
+        simulated = self._system(experiment).submit(
+            self._spec(keys, workers=2, failures=failures)
+        ).result().schedule
+        assert campaign.schedule.failed_workers == simulated.failed_workers
+        assert campaign.schedule.n_retries == simulated.n_retries
+        assert campaign.schedule.assignments == simulated.assignments
 
-    def test_chain_failure_statuses_survive_pooled_scheduling(self):
+    @pytest.mark.parametrize("backend", tuple(EXECUTION_BACKENDS))
+    def test_chain_failure_statuses_survive_pooled_scheduling(self, backend):
         system = self._system(self._broken_chain_experiment())
-        campaign = system.run_campaign(
-            ["FAULTEXP"], ["SL5_64bit_gcc4.4"], workers=4,
-        )
+        campaign = system.submit(
+            self._spec(["SL5_64bit_gcc4.4"], backend=backend, workers=4)
+        ).result()
         run = campaign.cells[0].run
         statuses = [run.job_for(f"fault-chain-{i:02d}-step").status for i in range(4)]
         assert statuses == [
@@ -283,31 +298,38 @@ class TestSchedulerFailureInjection:
         ]
         assert all(task.duration_seconds == 0.0 for task in skipped_tasks)
 
-    def test_all_workers_dead_raises_instead_of_deadlocking(self):
+    @pytest.mark.parametrize("backend", tuple(EXECUTION_BACKENDS))
+    def test_all_workers_dead_raises_instead_of_deadlocking(self, backend):
         system = self._system(self._broken_chain_experiment())
         with pytest.raises(SchedulingError, match="every worker"):
-            system.run_campaign(
-                ["FAULTEXP"],
-                ["SL5_64bit_gcc4.4"],
-                workers=2,
-                failures=[
-                    WorkerFailure(worker_index=0, at_seconds=10.0),
-                    WorkerFailure(worker_index=1, at_seconds=20.0),
-                ],
+            system.submit(
+                self._spec(
+                    ["SL5_64bit_gcc4.4"],
+                    backend=backend,
+                    workers=2,
+                    failures=[
+                        WorkerFailure(worker_index=0, at_seconds=10.0),
+                        WorkerFailure(worker_index=1, at_seconds=20.0),
+                    ],
+                )
             )
 
-    def test_late_failure_after_campaign_end_is_harmless(self):
+    @pytest.mark.parametrize("backend", tuple(EXECUTION_BACKENDS))
+    def test_late_failure_after_campaign_end_is_harmless(self, backend):
         system = self._system(self._broken_chain_experiment())
-        campaign = system.run_campaign(
-            ["FAULTEXP"],
-            ["SL5_64bit_gcc4.4"],
-            workers=2,
-            failures=[WorkerFailure(worker_index=0, at_seconds=10.0 ** 9)],
-        )
+        campaign = system.submit(
+            self._spec(
+                ["SL5_64bit_gcc4.4"],
+                backend=backend,
+                workers=2,
+                failures=[WorkerFailure(worker_index=0, at_seconds=10.0 ** 9)],
+            )
+        ).result()
         assert campaign.schedule.n_retries == 0
         assert campaign.schedule.failed_workers == ()
 
-    def test_crashing_executor_inside_campaign(self, sl5_64_gcc44):
+    @pytest.mark.parametrize("backend", tuple(EXECUTION_BACKENDS))
+    def test_crashing_executor_inside_campaign(self, sl5_64_gcc44, backend):
         def crash(context):
             raise RuntimeError("segmentation violation in user code")
 
@@ -324,7 +346,9 @@ class TestSchedulerFailureInjection:
         )
         experiment = _experiment(standalone=[crashing, export_test])
         system = self._system(experiment)
-        campaign = system.run_campaign(["FAULTEXP"], [sl5_64_gcc44.key], workers=3)
+        campaign = system.submit(
+            self._spec([sl5_64_gcc44.key], backend=backend, workers=3)
+        ).result()
         run = campaign.cells[0].run
         assert run.job_for("crashing-test").status is JobStatus.FAILED
         assert run.job_for("healthy-test").status is JobStatus.PASSED

@@ -6,11 +6,11 @@ disk was the binding constraint — inflating ``total_slots`` and
 ``available_slot_seconds`` and so deflating ``utilisation`` for any
 memory-bound profile.  Every backend must now report the *effective* slot
 count, ``min(cpu, memory, disk)`` in task units.  Second, a backend maps
-the cell computation: executors run in this process on the simulated and
-thread backends and in forked children on the process and sharded ones,
-always with the ``SP_RUN_ID`` of the run they are stamped into.  Third, a
-crashing executor is recorded alike everywhere, while a map that cannot
-finish raises a :class:`SchedulingError` naming the backend and the cell.
+the cell computation: executors run in this process on the simulated
+backend and in forked children on the process one, always with the
+``SP_RUN_ID`` of the run they are stamped into.  Third, a crashing
+executor is recorded alike everywhere, while a map that cannot finish
+raises a :class:`SchedulingError` naming the backend and the cell.
 """
 
 import os
@@ -23,10 +23,7 @@ from repro.core.spsystem import SPSystem
 from repro.experiments import build_hermes_experiment
 from repro.scheduler.backends import (
     EXECUTION_BACKENDS,
-    ExecutionRequest,
     ProcessPoolBackend,
-    ShardedBackend,
-    ThreadPoolBackend,
     execution_backend,
 )
 from repro.scheduler.campaign import CampaignScheduler
@@ -39,7 +36,7 @@ from repro.scheduler.spec import CampaignSpec
 from repro.virtualization.resources import VALIDATION_VM_PROFILE, ResourceProfile
 
 KEYS = ["SL5_64bit_gcc4.4", "SL6_64bit_gcc4.4"]
-BACKENDS = ("simulated", "threads", "processes", "sharded")
+BACKENDS = tuple(EXECUTION_BACKENDS)
 
 #: One entry per executor call made in this process (see ``_instrumented``).
 EXECUTOR_CALLS = []
@@ -153,9 +150,9 @@ class TestSlotReportingRegression:
             worker_profile=MEMORY_BOUND_PROFILE,
             backend=backend,
         )
-        return scheduler.run(["HERMES"], KEYS)
+        return scheduler.run_requests(scheduler.expand_matrix(["HERMES"], KEYS))
 
-    @pytest.mark.parametrize("backend", ["simulated", "threads", "processes"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_memory_bound_profile_reports_effective_slots(self, backend):
         schedule = self._memory_bound_campaign(backend).schedule
         # min(4 cores, 2 GB / 1 GB, 100 GB / 5 GB) = 2, not cpu_cores = 4.
@@ -163,7 +160,7 @@ class TestSlotReportingRegression:
         assert schedule.total_slots == 4
         assert schedule.backend == backend
 
-    @pytest.mark.parametrize("backend", ["simulated", "threads", "processes"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_memory_bound_utilisation_is_a_fraction(self, backend):
         """The inflated denominator used to push utilisation far below 1."""
         schedule = self._memory_bound_campaign(backend).schedule
@@ -177,16 +174,6 @@ class TestSlotReportingRegression:
         schedule = pool.execute(_tiny_dag())
         assert schedule.slots_per_worker == 2
         assert schedule.total_slots == 4
-
-    def test_sharded_backend_reports_one_slot_per_shard(self):
-        system = _fresh_system()
-        scheduler = CampaignScheduler(
-            system, workers=2, backend="sharded", shards=2
-        )
-        schedule = scheduler.run(["HERMES"], KEYS).schedule
-        assert schedule.n_workers == 2
-        assert schedule.slots_per_worker == 1
-        assert schedule.shards == 2
 
     def test_oversubscribed_spec_slots_are_capped_by_memory(self):
         """A spec asking for 8 slots gets the memory-capped effective count.
@@ -225,7 +212,7 @@ class TestCellMap:
 
     @pytest.mark.parametrize(
         "backend,in_process",
-        [("simulated", True), ("threads", True), ("processes", False), ("sharded", False)],
+        [("simulated", True), ("processes", False)],
     )
     def test_executors_run_where_the_backend_says(self, backend, in_process):
         reference = self._campaign("simulated")
@@ -261,7 +248,7 @@ class TestFailureContract:
         reference = _wrapped_system(self._crashing).submit(_spec("simulated")).result()
         assert _run_documents(campaign) == _run_documents(reference)
 
-    @pytest.mark.parametrize("backend", ["processes", "sharded"])
+    @pytest.mark.parametrize("backend", ["processes"])
     def test_dead_child_fails_the_campaign_naming_backend_and_cell(
         self, backend, tmp_path
     ):
@@ -294,27 +281,6 @@ class TestFailureContract:
         assert [record.run_id for record in system.catalog.all()] == stamped
         assert len(stamped) == len(KEYS)
 
-    @pytest.mark.parametrize(
-        "backend_name", ["threads", "processes", "sharded"]
-    )
-    def test_wall_clock_backends_reject_failure_injection(self, backend_name):
-        from repro.scheduler.pool import WorkerFailure
-
-        request = ExecutionRequest(
-            dag=_tiny_dag(),
-            workers=1,
-            failures=(WorkerFailure(worker_index=0, at_seconds=1.0),),
-        )
-        with pytest.raises(SchedulingError, match="simulated backend"):
-            execution_backend(backend_name).execute(request)
-
-    def test_registry_knows_all_four_backends(self):
-        assert set(EXECUTION_BACKENDS) == {
-            "simulated",
-            "threads",
-            "processes",
-            "sharded",
-        }
-        assert isinstance(execution_backend("threads"), ThreadPoolBackend)
+    def test_registry_knows_both_backends(self):
+        assert set(EXECUTION_BACKENDS) == {"simulated", "processes"}
         assert isinstance(execution_backend("processes"), ProcessPoolBackend)
-        assert isinstance(execution_backend("sharded"), ShardedBackend)

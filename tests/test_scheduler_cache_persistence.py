@@ -19,6 +19,7 @@ from repro.core.spsystem import SPSystem
 from repro.experiments import build_hermes_experiment
 from repro.experiments.inventories import InventoryQuirks, build_inventory
 from repro.scheduler.cache import BuildCache, CacheStatistics
+from repro.scheduler.spec import CampaignSpec
 from repro.storage.artifacts import ArtifactStore
 from repro.storage.common_storage import CommonStorage
 
@@ -47,6 +48,15 @@ def _fresh_system():
     system.provision_standard_images()
     system.register_experiment(build_hermes_experiment(scale=0.2))
     return system
+
+
+def _hermes_spec(keys=CAMPAIGN_KEYS, **options):
+    return CampaignSpec(
+        experiments=("HERMES",),
+        configuration_keys=tuple(keys),
+        persist_spec=False,
+        **options,
+    )
 
 
 def _populated_cache(inventory, configuration):
@@ -736,13 +746,13 @@ class TestSizeBudget:
 class TestWarmStartCampaigns:
     def test_second_installation_warm_starts_with_hits(self):
         cold = _fresh_system()
-        first = cold.run_campaign(["HERMES"], CAMPAIGN_KEYS, workers=2)
+        first = cold.submit(_hermes_spec(workers=2)).result()
         assert first.cache_statistics.hits == 0
         assert cold.persist_build_cache() > 0
 
         warm = _fresh_system()
         assert warm.restore_build_cache(cold.storage) is not None
-        second = warm.run_campaign(["HERMES"], CAMPAIGN_KEYS, workers=2)
+        second = warm.submit(_hermes_spec(workers=2)).result()
         assert second.cache_statistics.hits > 0
         assert second.cache_statistics.misses == 0
 
@@ -755,12 +765,12 @@ class TestWarmStartCampaigns:
         ]
 
         cold = _fresh_system()
-        cold.run_campaign(["HERMES"], CAMPAIGN_KEYS)
+        cold.submit(_hermes_spec())
         cold.persist_build_cache()
 
         warm = _fresh_system()
         warm.restore_build_cache(cold.storage)
-        campaign = warm.run_campaign(["HERMES"], CAMPAIGN_KEYS, workers=3)
+        campaign = warm.submit(_hermes_spec(workers=3)).result()
         assert campaign.cache_statistics.hits > 0
         assert [run.to_document() for run in campaign.runs()] == expected
         # Catalogue records are identical too.
@@ -770,7 +780,7 @@ class TestWarmStartCampaigns:
 
     def test_run_campaign_warm_starts_from_mounted_storage(self, tmp_path):
         cold = _fresh_system()
-        cold.run_campaign(["HERMES"], CAMPAIGN_KEYS)
+        cold.submit(_hermes_spec())
         cold.persist_build_cache()
         cold.storage.persist(str(tmp_path))
 
@@ -782,15 +792,13 @@ class TestWarmStartCampaigns:
         )
         warm.provision_standard_images()
         warm.register_experiment(build_hermes_experiment(scale=0.2))
-        campaign = warm.run_campaign(
-            ["HERMES"], CAMPAIGN_KEYS, description="warm rerun"
-        )
+        campaign = warm.submit(_hermes_spec(description="warm rerun")).result()
         assert campaign.cache_statistics.hits > 0
         assert campaign.cache_statistics.misses == 0
 
     def test_warm_start_can_be_disabled(self, tmp_path):
         cold = _fresh_system()
-        cold.run_campaign(["HERMES"], CAMPAIGN_KEYS)
+        cold.submit(_hermes_spec())
         cold.persist_build_cache()
         cold.storage.persist(str(tmp_path))
 
@@ -800,9 +808,9 @@ class TestWarmStartCampaigns:
         )
         warm.provision_standard_images()
         warm.register_experiment(build_hermes_experiment(scale=0.2))
-        campaign = warm.run_campaign(
-            ["HERMES"], CAMPAIGN_KEYS, description="cold rerun", warm_start=False
-        )
+        campaign = warm.submit(
+            _hermes_spec(description="cold rerun", warm_start=False)
+        ).result()
         assert campaign.cache_statistics.hits == 0
 
     def test_restore_without_snapshot_raises(self):
@@ -819,7 +827,7 @@ class TestWarmStartCampaigns:
         builds, zero journal records are appended.
         """
         cold = _fresh_system()
-        cold.run_campaign(["HERMES"], CAMPAIGN_KEYS)
+        cold.submit(_hermes_spec())
         entries = cold.persist_build_cache()
         assert entries > 0
         source_keys = cold.storage.keys(BuildCache.NAMESPACE)
@@ -828,7 +836,7 @@ class TestWarmStartCampaigns:
         warm.restore_build_cache(cold.storage)
         # The journal travelled into the warm installation's own storage...
         assert warm.storage.keys(BuildCache.NAMESPACE) == source_keys
-        warm.run_campaign(["HERMES"], CAMPAIGN_KEYS)
+        warm.submit(_hermes_spec())
         # ...and a fully warm campaign appends nothing to it.
         assert warm.persist_build_cache() == 0
         assert warm.storage.keys(BuildCache.NAMESPACE) == source_keys
@@ -836,27 +844,19 @@ class TestWarmStartCampaigns:
         assert cold.storage.keys(BuildCache.NAMESPACE) == source_keys
 
 
-class TestShardedCampaignJournal:
-    """System level: a sharded campaign never disturbs a mounted journal."""
+class TestForkedCampaignJournal:
+    """System level: a forked campaign never disturbs a mounted journal."""
 
-    def test_sharded_campaign_keeps_the_mounted_journal_consistent(self):
-        from repro.scheduler.spec import CampaignSpec
-
+    def test_forked_campaign_keeps_the_mounted_journal_consistent(self):
         system = _fresh_system()
-        system.run_campaign(["HERMES"], [CAMPAIGN_KEYS[0]])
+        system.submit(_hermes_spec(CAMPAIGN_KEYS[:1]))
         assert system.persist_build_cache() > 0
         before = len(BuildCache.restore_from(system.storage, ArtifactStore()))
         system.submit(
-            CampaignSpec(
-                experiments=("HERMES",),
-                configuration_keys=tuple(CAMPAIGN_KEYS),
-                workers=2,
-                shards=2,
-                persist_spec=False,
-            )
+            _hermes_spec(workers=2, slots_per_worker=1, backend="processes")
         ).result()
         # The parent's build pass stored the second configuration's builds
-        # in the live cache only; the shard processes compute tests and
+        # in the live cache only; the forked workers compute tests and
         # write nothing, so the synced journal is untouched.  The next
         # persist appends exactly the new entries, after which restore
         # equals the live cache.
@@ -868,18 +868,10 @@ class TestShardedCampaignJournal:
         restored = BuildCache.restore_from(system.storage, ArtifactStore())
         assert len(restored) == len(live)
 
-    def test_unsynced_sharded_run_leaves_storage_untouched(self):
-        from repro.scheduler.spec import CampaignSpec
-
+    def test_unsynced_forked_run_leaves_storage_untouched(self):
         system = _fresh_system()
         system.submit(
-            CampaignSpec(
-                experiments=("HERMES",),
-                configuration_keys=tuple(CAMPAIGN_KEYS),
-                workers=2,
-                shards=2,
-                persist_spec=False,
-            )
+            _hermes_spec(workers=2, slots_per_worker=1, backend="processes")
         ).result()
         # Never persisted, so no journal exists.
         assert BuildCache.NAMESPACE not in system.storage.namespaces()

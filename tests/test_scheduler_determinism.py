@@ -10,7 +10,6 @@ cover the ``ValidationJob``/``ValidationRun`` document round-trip the
 structural comparisons rely on.
 """
 
-import os
 import pickle
 
 import pytest
@@ -20,6 +19,7 @@ from repro.core.jobs import JobStatus, ValidationJob, ValidationRun
 from repro.core.runner import RunnerSettings
 from repro.core.spsystem import SPSystem
 from repro.experiments import build_hermes_experiment
+from repro.scheduler.backends import EXECUTION_BACKENDS
 from repro.scheduler.spec import CampaignSpec
 
 
@@ -46,19 +46,11 @@ def _sequential_baseline(seed, keys, rounds=1):
 
 KEYS = ["SL5_64bit_gcc4.4", "SL6_64bit_gcc4.4"]
 
-#: The backends the parity suite runs against.  CI shards the matrix by
-#: exporting REPRO_PARITY_BACKENDS (e.g. "simulated,threads,processes");
-#: the default covers every registered backend.
-PARITY_BACKENDS = tuple(
-    entry.strip()
-    for entry in os.environ.get(
-        "REPRO_PARITY_BACKENDS", "simulated,threads,processes,sharded"
-    ).split(",")
-    if entry.strip()
-)
+#: The backends the parity suite runs against: every registered one.
+PARITY_BACKENDS = tuple(EXECUTION_BACKENDS)
 
-#: The backends that really execute task payloads (everything but the
-#: simulation) — these are the ones whose builds must run exactly once.
+#: The backends that compute the cells somewhere other than inline in this
+#: process; each is compared with the inline simulated backend.
 EXECUTING_BACKENDS = tuple(
     backend for backend in PARITY_BACKENDS if backend != "simulated"
 )
@@ -78,9 +70,9 @@ class TestSchedulerMatchesSequentialBaseline:
     def test_run_documents_identical(self, seed, workers):
         baseline_system, baseline = _sequential_baseline(seed, KEYS)
         scheduled_system = _fresh_system(seed)
-        scheduled = scheduled_system.validate_everywhere(
-            "HERMES", KEYS, workers=workers
-        )
+        scheduled = scheduled_system.submit(
+            _campaign_spec("simulated", KEYS, workers=workers, experiments=("HERMES",))
+        ).result().cycles_for("HERMES")
         assert [cycle.run.to_document() for cycle in scheduled] == [
             cycle.run.to_document() for cycle in baseline
         ]
@@ -95,9 +87,11 @@ class TestSchedulerMatchesSequentialBaseline:
         seed = 20131029
         baseline_system, baseline = _sequential_baseline(seed, KEYS, rounds=2)
         scheduled_system = _fresh_system(seed)
-        campaign = scheduled_system.run_campaign(
-            ["HERMES"], KEYS, workers=workers, rounds=2
-        )
+        campaign = scheduled_system.submit(
+            _campaign_spec(
+                "simulated", KEYS, workers=workers, rounds=2, experiments=("HERMES",)
+            )
+        ).result()
         assert campaign.cache_statistics.hits > 0
         assert [run.to_document() for run in campaign.runs()] == [
             cycle.run.to_document() for cycle in baseline
@@ -111,7 +105,9 @@ class TestSchedulerMatchesSequentialBaseline:
         seed = 20131029
         baseline_system, baseline = _sequential_baseline(seed, KEYS)
         scheduled_system = _fresh_system(seed)
-        scheduled = scheduled_system.validate_everywhere("HERMES", KEYS, workers=4)
+        scheduled = scheduled_system.submit(
+            _campaign_spec("simulated", KEYS, experiments=("HERMES",))
+        ).result().cycles_for("HERMES")
         for before, after in zip(baseline, scheduled):
             assert before.successful == after.successful
             assert len(before.tickets) == len(after.tickets)
@@ -126,7 +122,11 @@ class TestSchedulerMatchesSequentialBaseline:
         documents = []
         for workers in (1, 2, 5):
             system = _fresh_system(20131029)
-            system.validate_everywhere("HERMES", KEYS, workers=workers)
+            system.submit(
+                _campaign_spec(
+                    "simulated", KEYS, workers=workers, experiments=("HERMES",)
+                )
+            )
             documents.append({
                 namespace: {
                     key: system.storage.get(namespace, key)
@@ -140,12 +140,10 @@ class TestSchedulerMatchesSequentialBaseline:
 class TestBackendParity:
     """The same spec yields bit-identical science on every backend.
 
-    The wall-clock backends (threads, processes, sharded) really execute
-    the campaign DAG, so their schedules carry measured timing —
-    nondeterministic by nature and therefore excluded from these
-    comparisons by design.  The run documents and catalogue records,
-    produced by the deterministic cell pass, must stay bit-identical to
-    the simulated backend and to the sequential ``validate`` path.
+    The process backend computes the cells in forked children instead of
+    inline; the run documents and catalogue records, produced by the
+    serial stamping pass, must stay bit-identical to the simulated backend
+    and to the sequential ``validate`` path.
     """
 
     def _full_matrix_spec(self, backend):
@@ -176,14 +174,13 @@ class TestBackendParity:
         assert [
             record.to_dict() for record in executed_system.catalog.all()
         ] == expected_records
-        # The cache statistics are part of the invariant: the sharded merge
-        # must not inflate them.
+        # The cache statistics are part of the invariant: computing the cells
+        # in other processes must not change them.
         assert (
             executed.result().cache_statistics
             == simulated.result().cache_statistics
         )
-        # The timelines are backend-specific: simulated seconds on one side,
-        # measured wall-clock seconds on the other.
+        # Both report the simulated timeline, each under its own name.
         assert simulated.result().schedule.backend == "simulated"
         assert executed.result().schedule.backend == backend
         assert len(executed.result().schedule.assignments) == len(
@@ -370,12 +367,10 @@ class TestBackendParity:
         )
 
     def test_build_task_pickle_round_trip(self, sp_system, tiny_hermes):
-        """BuildTask crosses the process boundary: pickle must round-trip.
+        """BuildTask pickles: the round trip keeps its fields and digest check.
 
-        The process and sharded backends ship build tasks to child
-        interpreters; this pins the picklability contract directly so a
-        future unpicklable field fails here, not deep inside a pool
-        traceback.
+        This pins the picklability contract directly so a future
+        unpicklable field fails here, not deep inside a pool traceback.
         """
         from repro.buildsys.builder import PackageBuilder, build_result_digest
 
@@ -402,22 +397,21 @@ class TestBackendParity:
         assert clone.runs == 1
         assert task.runs == 0
 
-    def test_shard_merge_with_shared_warm_start(self):
-        """Two shards warm-starting from one shared build cache stay exact.
+    def test_forked_campaigns_with_shared_warm_start(self):
+        """Two forked campaigns sharing one build cache stay exact.
 
-        The first sharded campaign populates the system's build cache via
-        the shard merge; the second campaign's cells all warm-start from
-        that shared cache, so every build task carries an expected digest
-        recorded by the *merged* shards — and the science plus the cache
-        statistics still match the simulated backend bit for bit.
+        The first campaign on two single-slot forked workers populates the
+        system's build cache; the second campaign's cells all warm-start
+        from that shared cache — and the science plus the cache statistics
+        still match the simulated backend bit for bit.
         """
-        sharded_spec = CampaignSpec(
+        forked_spec = CampaignSpec(
             configuration_keys=tuple(KEYS),
             workers=2,
-            shards=2,
+            slots_per_worker=1,
+            backend="processes",
             persist_spec=False,
         )
-        assert sharded_spec.backend == "sharded"
         simulated_spec = _campaign_spec("simulated", KEYS, workers=2)
 
         reference_system = _fresh_system(20131029)
@@ -425,14 +419,13 @@ class TestBackendParity:
         reference_second = reference_system.submit(simulated_spec).result()
 
         system = _fresh_system(20131029)
-        first = system.submit(sharded_spec).result()
-        second = system.submit(sharded_spec).result()
+        first = system.submit(forked_spec).result()
+        second = system.submit(forked_spec).result()
 
-        assert first.schedule.shards == 2
-        assert first.schedule.backend == "sharded"
+        assert first.schedule.backend == "processes"
         assert first.schedule.slots_per_worker == 1
         # The second campaign is served warm: its cells hit the cache the
-        # first campaign's shards merged into.
+        # first campaign filled.
         assert second.cache_statistics.hits > 0
         # Science and cache accounting match the simulated pair exactly.
         assert [run.to_document() for run in first.runs()] == [

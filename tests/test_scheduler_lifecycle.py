@@ -4,8 +4,8 @@ The bus decouples everything that *reacts* to a campaign (history
 ingestion, regression alerting, JSONL event logs, deadline aborts) from
 the scheduler that runs it.  These tests pin the registry semantics
 (ordering, scoping, sequence numbering), the observer-vs-policy contract,
-the backend-independent event stream, the deadline-abort behaviour on all
-four backends, and the full alerting story: an environment evolution flips
+the backend-independent event stream, the deadline-abort behaviour on both
+backends, and the full alerting story: an environment evolution flips
 a cell, the next campaign's ``regression_detected`` event opens a
 persisted intervention ticket naming the suspected evolution, and the CLI
 lists and resolves it.
@@ -24,6 +24,7 @@ from repro.environment.evolution import EVENT_EXTERNAL_RELEASE, EnvironmentEvent
 from repro.environment.external import ExternalSoftwareCatalog
 from repro.experiments import build_hermes_experiment
 from repro.plugins import CAMPAIGN_PLUGINS, InterventionStore, campaign_plugin
+from repro.scheduler.backends import EXECUTION_BACKENDS
 from repro.reporting.summary import (
     campaign_schedule_rows,
     intervention_rows,
@@ -49,7 +50,7 @@ from repro.scheduler.lifecycle import (
 from repro.scheduler.spec import CampaignSpec
 
 KEYS = ("SL5_64bit_gcc4.4", "SL6_64bit_gcc4.4")
-BACKENDS = ("simulated", "threads", "processes", "sharded")
+BACKENDS = tuple(EXECUTION_BACKENDS)
 
 #: The two cells of the alerting end-to-end story: ROOT 6.02 lands on the
 #: established SL5 platform (flipping the gcc 4.4 cell — HERMES uses the
@@ -173,7 +174,7 @@ class TestDeadlineAbortPolicy:
             name=EVENT_DEADLINE_EXCEEDED,
             sequence=1,
             payload={
-                "backend": "threads",
+                "backend": "processes",
                 "deadline_seconds": 1.5,
                 "elapsed_seconds": 2.5,
             },
@@ -189,7 +190,7 @@ class TestDeadlineAbortPolicy:
         reason = DeadlineAbortPolicy().should_stop(self._deadline_event(), None)
         assert "1.5" in reason
         assert "2.5" in reason
-        assert "threads" in reason
+        assert "processes" in reason
 
 
 class TestEventSinks:
@@ -280,10 +281,10 @@ class TestCampaignSpecLifecycleFields:
 
 
 class TestEventSequenceParity:
-    """All four backends emit the identical event stream.
+    """Both backends emit the identical event stream.
 
-    ``cell_completed`` is emitted from the deterministic cell pass, not
-    from the wall-clock dispatch, so its order is backend-independent by
+    ``cell_completed`` is emitted from the serial stamping pass, not from
+    the backend's map, so its order is backend-independent by
     construction; ``campaign_finished`` always comes last.  The only
     allowed difference is the backend name inside the finish payload.
     """
@@ -334,9 +335,8 @@ class TestDeadlineAbortEndToEnd:
 
     The deterministic cell pass runs before dispatch, so an abort can
     never lose science: the catalogue records of the aborted campaign stay
-    bit-identical to a full simulated run.  The simulated backend crosses
-    its deadline on the simulated timeline; the executing backends use a
-    nanoscale wall-clock deadline so the check fires deterministically.
+    bit-identical to a full simulated run.  Both backends cross their
+    deadline on the simulated timeline.
     """
 
     def _abort_spec(self, backend, deadline):
@@ -353,9 +353,7 @@ class TestDeadlineAbortEndToEnd:
         "backend,deadline",
         [
             ("simulated", 1.0),
-            ("threads", 1e-9),
             ("processes", 1e-9),
-            ("sharded", 1e-9),
         ],
     )
     def test_abort_cancels_queued_cells_and_keeps_completed_science(

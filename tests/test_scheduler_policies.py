@@ -12,7 +12,9 @@ from repro._common import SchedulingError
 from repro.core.runner import RunnerSettings
 from repro.core.spsystem import SPSystem
 from repro.experiments import build_hermes_experiment
+from repro.scheduler.backends import EXECUTION_BACKENDS
 from repro.scheduler.dag import CampaignDAG, CampaignTask, TaskKind
+from repro.scheduler.spec import CampaignSpec
 from repro.scheduler.pool import (
     SCHEDULING_POLICIES,
     CriticalPathPolicy,
@@ -147,28 +149,38 @@ class TestPolicyOrdering:
 
 
 class TestPolicyCampaigns:
+    @pytest.mark.parametrize("backend", tuple(EXECUTION_BACKENDS))
     @pytest.mark.parametrize("seed", [20131029, 7])
-    def test_policies_reproducible_across_identical_systems(self, seed):
+    def test_policies_reproducible_across_identical_systems(self, seed, backend):
         for policy in POLICY_NAMES:
-            first = _fresh_system(seed).run_campaign(
-                ["HERMES"], ["SL5_64bit_gcc4.4", "SL6_64bit_gcc4.4"],
-                workers=3, policy=policy,
+            spec = CampaignSpec(
+                experiments=("HERMES",),
+                configuration_keys=("SL5_64bit_gcc4.4", "SL6_64bit_gcc4.4"),
+                workers=3,
+                backend=backend,
+                policy=policy,
+                persist_spec=False,
             )
-            second = _fresh_system(seed).run_campaign(
-                ["HERMES"], ["SL5_64bit_gcc4.4", "SL6_64bit_gcc4.4"],
-                workers=3, policy=policy,
-            )
+            first = _fresh_system(seed).submit(spec).result()
+            second = _fresh_system(seed).submit(spec).result()
             assert first.schedule.assignments == second.schedule.assignments
             assert first.policy == policy
 
-    def test_policy_changes_timeline_not_output(self):
+    @pytest.mark.parametrize("backend", tuple(EXECUTION_BACKENDS))
+    def test_policy_changes_timeline_not_output(self, backend):
         documents = {}
         schedules = {}
         for policy in POLICY_NAMES:
-            campaign = _fresh_system().run_campaign(
-                ["HERMES"], ["SL5_64bit_gcc4.4", "SL6_64bit_gcc4.4"],
-                workers=2, policy=policy,
-            )
+            campaign = _fresh_system().submit(
+                CampaignSpec(
+                    experiments=("HERMES",),
+                    configuration_keys=("SL5_64bit_gcc4.4", "SL6_64bit_gcc4.4"),
+                    workers=2,
+                    backend=backend,
+                    policy=policy,
+                    persist_spec=False,
+                )
+            ).result()
             documents[policy] = [run.to_document() for run in campaign.runs()]
             schedules[policy] = [
                 (a.task_id, a.worker_index, a.start_seconds)
@@ -220,11 +232,17 @@ class TestDeadlines:
         with pytest.raises(SchedulingError):
             SimulatedWorkerPool(n_workers=1, deadline_seconds=0.0)
 
-    def test_campaign_reports_late_cells(self):
-        campaign = _fresh_system().run_campaign(
-            ["HERMES"], ["SL5_64bit_gcc4.4", "SL6_64bit_gcc4.4"],
-            workers=1, deadline_seconds=1.0,
-        )
+    @pytest.mark.parametrize("backend", tuple(EXECUTION_BACKENDS))
+    def test_campaign_reports_late_cells(self, backend):
+        campaign = _fresh_system().submit(
+            CampaignSpec(
+                experiments=("HERMES",),
+                configuration_keys=("SL5_64bit_gcc4.4", "SL6_64bit_gcc4.4"),
+                deadline_seconds=1.0,
+                backend=backend,
+                persist_spec=False,
+            )
+        ).result()
         assert not campaign.schedule.met_deadline
         assert campaign.schedule.late_cells() == [0, 1]
         assert "deadline verdict" in campaign.render_text()

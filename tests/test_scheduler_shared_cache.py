@@ -23,11 +23,7 @@ from repro.experiments import (
     shared_external_packages,
 )
 from repro.reporting.summary import build_cache_rows
-from repro.scheduler.cache import (
-    BuildCache,
-    build_cache_key,
-    package_identity_digest,
-)
+from repro.scheduler.cache import BuildCache, package_identity_digest
 from repro.scheduler.spec import CampaignSpec
 from repro.storage.artifacts import ArtifactStore
 
@@ -99,12 +95,6 @@ class TestIdentityDigest:
             assert package_identity_digest(
                 changed, sl5_64_gcc44
             ) != package_identity_digest(package, sl5_64_gcc44)
-
-    def test_legacy_name_is_an_alias(self, small_inventory, sl5_64_gcc44):
-        package = small_inventory.all()[0]
-        assert build_cache_key(package, sl5_64_gcc44) == package_identity_digest(
-            package, sl5_64_gcc44
-        )
 
 
 class TestSharedHitAccounting:

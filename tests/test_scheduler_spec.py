@@ -3,25 +3,27 @@
 The :class:`CampaignSpec` request object is the single currency of campaign
 execution: it round-trips through ``to_dict``/``from_dict``, persists into
 the ``campaigns`` namespace of the common storage, and replays the identical
-campaign on a fresh installation.  The :class:`ExecutionBackend` registry
-decides where the cells are computed — inline, on threads or in forked
+campaign on a fresh installation — documents written while the ``threads``
+and ``sharded`` backends existed included.  The :class:`ExecutionBackend`
+registry decides where the cells are computed — inline or in forked
 processes — without ever touching the scientific output.
 """
+
+import json
 
 import pytest
 
 from repro._common import SchedulingError
+from repro.cli import main as cli_main
 from repro.core.runner import RunnerSettings
 from repro.core.spsystem import CampaignHandle, SPSystem
 from repro.experiments import build_hermes_experiment
 from repro.scheduler.backends import (
     EXECUTION_BACKENDS,
-    ExecutionRequest,
+    ProcessPoolBackend,
     SimulatedBackend,
-    ThreadPoolBackend,
     execution_backend,
 )
-from repro.scheduler.dag import CampaignDAG, CampaignTask, TaskKind
 from repro.scheduler.pool import WorkerFailure
 from repro.scheduler.spec import CampaignSpec, ValidationRequest
 
@@ -33,18 +35,6 @@ def _fresh_system(seed=20131029):
     system.provision_standard_images()
     system.register_experiment(build_hermes_experiment(scale=0.2))
     return system
-
-
-def _task(task_id, duration=5.0, deps=(), cell=0):
-    return CampaignTask(
-        task_id=task_id,
-        kind=TaskKind.BUILD,
-        cell_index=cell,
-        experiment="TESTEXP",
-        configuration_key="SL5_64bit_gcc4.4",
-        duration_seconds=duration,
-        dependencies=tuple(deps),
-    )
 
 
 class TestValidationRequest:
@@ -126,13 +116,13 @@ class TestCampaignSpec:
             {"cache_budget_bytes": -1},
             {"policy": "round-robin"},
             {"backend": "mpi"},
+            # The removed backends' names only reach a spec through the
+            # translation in from_dict.
+            {"backend": "threads"},
+            {"backend": "sharded"},
             {
                 "requests": (ValidationRequest("H1", "SL5_64bit_gcc4.4"),),
                 "experiments": ("H1",),
-            },
-            {
-                "backend": "threads",
-                "failures": (WorkerFailure(worker_index=0, at_seconds=1.0),),
             },
         ],
     )
@@ -173,44 +163,14 @@ class TestBackendRegistry:
 
     def test_resolution(self):
         assert isinstance(execution_backend("simulated"), SimulatedBackend)
-        assert isinstance(execution_backend("threads"), ThreadPoolBackend)
         assert isinstance(execution_backend(None), SimulatedBackend)
-        backend = ThreadPoolBackend()
+        backend = ProcessPoolBackend()
         assert execution_backend(backend) is backend
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(SchedulingError):
-            execution_backend("mpi")
-
-
-class TestThreadPoolBackend:
-    def test_reports_the_simulated_timeline(self):
-        dag = CampaignDAG()
-        dag.add(_task("build-a", deps=()))
-        dag.add(_task("build-b", deps=["build-a"]))
-        dag.add(_task("test", deps=["build-b"]))
-        request = ExecutionRequest(dag=dag, workers=2)
-        schedule = ThreadPoolBackend().execute(request)
-        assert schedule.backend == "threads"
-        assert schedule.assignments == SimulatedBackend().execute(request).assignments
-        by_id = {a.task_id: a for a in schedule.assignments}
-        assert by_id["build-b"].start_seconds >= by_id["build-a"].end_seconds
-        assert by_id["test"].start_seconds >= by_id["build-b"].end_seconds
-        assert schedule.makespan_seconds == 15.0
-
-    def test_empty_dag(self):
-        schedule = ThreadPoolBackend().execute(ExecutionRequest(dag=CampaignDAG()))
-        assert schedule.assignments == []
-        assert schedule.makespan_seconds == 0.0
-
-    def test_failure_injection_rejected(self):
-        with pytest.raises(SchedulingError):
-            ThreadPoolBackend().execute(
-                ExecutionRequest(
-                    dag=CampaignDAG(),
-                    failures=(WorkerFailure(worker_index=0, at_seconds=1.0),),
-                )
-            )
+    @pytest.mark.parametrize("name", ["mpi", "threads", "sharded"])
+    def test_unknown_backend_rejected(self, name):
+        with pytest.raises(SchedulingError, match="known: processes, simulated"):
+            execution_backend(name)
 
 
 class TestSubmitFacade:
@@ -310,57 +270,237 @@ class TestSubmitFacade:
         with pytest.raises(SchedulingError, match="has not completed"):
             handle.result()
 
-
-class TestDeprecatedShims:
-    def test_run_campaign_warns_and_matches_submit(self):
-        legacy_system = _fresh_system()
-        with pytest.warns(DeprecationWarning, match="run_campaign is deprecated"):
-            legacy = legacy_system.run_campaign(
-                ["HERMES"], list(TestSubmitFacade.KEYS), workers=2
-            )
-        spec_system = _fresh_system()
-        submitted = spec_system.submit(
-            CampaignSpec(
-                experiments=("HERMES",),
-                configuration_keys=TestSubmitFacade.KEYS,
-                workers=2,
-            )
-        ).result()
-        assert [run.to_document() for run in legacy.runs()] == [
-            run.to_document() for run in submitted.runs()
-        ]
-
-    def test_validate_everywhere_warns(self):
-        system = _fresh_system()
-        with pytest.warns(
-            DeprecationWarning, match="validate_everywhere is deprecated"
-        ):
-            cycles = system.validate_everywhere(
-                "HERMES", list(TestSubmitFacade.KEYS)
-            )
-        assert len(cycles) == 2
-
-    def test_run_campaign_still_accepts_policy_instances(self):
+    def test_policy_instances_schedule_without_travelling_in_the_spec(self):
         # A custom (unregistered) policy instance cannot travel in the
-        # serialisable spec, but the deprecated path must keep scheduling
-        # with it, as it did before the redesign.
+        # serialisable spec; submit schedules with it while the spec keeps
+        # its registry name.
         from repro.scheduler.pool import FifoPolicy
 
         class ReversedFifoPolicy(FifoPolicy):
             name = "reversed-fifo"
 
         system = _fresh_system()
-        with pytest.warns(DeprecationWarning):
-            campaign = system.run_campaign(
-                ["HERMES"], ["SL5_64bit_gcc4.4"], policy=ReversedFifoPolicy()
-            )
+        spec = CampaignSpec(
+            experiments=("HERMES",),
+            configuration_keys=("SL5_64bit_gcc4.4",),
+            persist_spec=False,
+        )
+        campaign = system.submit(spec, policy=ReversedFifoPolicy()).result()
         assert campaign.policy == "reversed-fifo"
         assert campaign.schedule.policy == "reversed-fifo"
+        assert campaign.spec.policy == "fifo"
 
-    def test_validate_all_experiments_warns(self):
-        system = _fresh_system()
-        with pytest.warns(
-            DeprecationWarning, match="validate_all_experiments is deprecated"
-        ):
-            results = system.validate_all_experiments(["SL5_64bit_gcc4.4"])
-        assert sorted(results) == ["HERMES"]
+
+class TestParentSpecDocuments:
+    """Spec documents written while ``threads`` and ``sharded`` existed.
+
+    Every such document carries a ``shards`` field.  ``threads`` reads as
+    ``simulated`` and ``sharded`` as ``processes`` on single-slot workers,
+    one per shard: both record the science and report the timeline of the
+    backend they name.
+    """
+
+    KEYS = ("SL5_64bit_gcc4.4", "SL6_64bit_gcc4.4")
+    PARENT_FIELDS = [{}, {"backend": "threads"}, {"backend": "sharded", "shards": 2}]
+    PARENT_IDS = ["simulated", "threads", "sharded"]
+
+    def _document(self, **fields):
+        spec = CampaignSpec(configuration_keys=self.KEYS, workers=4, persist_spec=False)
+        return {**spec.to_dict(), "shards": None, **fields}
+
+    @staticmethod
+    def _run_documents(spec):
+        campaign = _fresh_system().submit(spec).result()
+        return [run.to_document() for run in campaign.runs()]
+
+    @staticmethod
+    def _parent_submission(number, status="queued", **spec_fields):
+        """A submission document exactly as the parent's service wrote it."""
+        return {
+            "campaign_id": None,
+            "cells": 0,
+            "error": None,
+            "priority": "normal",
+            "sequence": number,
+            "spec": {
+                "backend": "simulated",
+                "batch_size": 4,
+                "cache_budget_bytes": None,
+                "configuration_keys": ["SL5_64bit_gcc4.4"],
+                "deadline_seconds": None,
+                "description": None,
+                "event_log": None,
+                "experiments": ["HERMES"],
+                "failures": [],
+                "on_deadline": "report",
+                "persist_spec": True,
+                "plugins": [],
+                "policy": "fifo",
+                "record_history": None,
+                "requests": None,
+                "rounds": 1,
+                "shards": None,
+                "slots_per_worker": None,
+                "use_cache": True,
+                "warm_start": True,
+                "workers": 1,
+                **spec_fields,
+            },
+            "status": status,
+            "submission_id": f"sub-{number:06d}",
+            "tenant": "alice",
+        }
+
+    @staticmethod
+    def _write_service(directory, documents):
+        (directory / "service").mkdir()
+        for prefix, document in documents:
+            name = f"{prefix}{document['submission_id']}.json"
+            (directory / "service" / name).write_text(json.dumps(document))
+
+    @pytest.mark.parametrize("fields", PARENT_FIELDS, ids=PARENT_IDS)
+    def test_parent_document_records_the_simulated_science(self, fields):
+        reference = CampaignSpec(configuration_keys=self.KEYS, persist_spec=False)
+        assert self._run_documents(
+            CampaignSpec.from_dict(self._document(**fields))
+        ) == self._run_documents(reference)
+
+    def test_sharded_document_keeps_the_sharded_timeline(self):
+        spec = CampaignSpec.from_dict(self._document(backend="sharded", shards=2))
+        assert spec.backend == "processes"
+        assert (spec.workers, spec.slots_per_worker) == (2, 1)
+        # Without a shard count the parent sharded over the workers.
+        assert CampaignSpec.from_dict(self._document(backend="sharded")).workers == 4
+        schedule = _fresh_system().submit(spec).result().schedule
+        expected = _fresh_system().submit(
+            CampaignSpec(
+                configuration_keys=self.KEYS,
+                workers=2,
+                slots_per_worker=1,
+                backend="processes",
+                persist_spec=False,
+            )
+        ).result().schedule
+        assert (schedule.n_workers, schedule.slots_per_worker) == (2, 1)
+        assert schedule.makespan_seconds == expected.makespan_seconds
+        assert schedule.assignments == expected.assignments
+
+    @pytest.mark.parametrize("backend", ["processes", "threads", "simulated", None])
+    def test_shards_on_another_backend_stays_unknown(self, backend):
+        # The parent rejected a shard count on processes and threads, and
+        # persisted a shard count on simulated (or on no backend) only
+        # after renaming the backend to sharded.  None of these is a
+        # persisted document, so none is silently run without its shards.
+        document = self._document(backend=backend, shards=2)
+        if backend is None:
+            del document["backend"]
+        with pytest.raises(SchedulingError, match="unknown campaign spec field"):
+            CampaignSpec.from_dict(document)
+
+    @pytest.mark.parametrize("shards", [0, -1, "2", 1.5, True])
+    def test_sharded_document_with_a_bad_shard_count_is_rejected(self, shards):
+        # The parent refused these shard counts; as worker counts they are
+        # refused just the same.
+        spec = CampaignSpec.from_dict(self._document(backend="sharded", shards=shards))
+        with pytest.raises(SchedulingError):
+            spec.validate()
+
+    @pytest.mark.parametrize("fields", PARENT_FIELDS, ids=PARENT_IDS)
+    def test_translated_document_persists_in_the_current_shape(self, fields):
+        spec = CampaignSpec.from_dict(self._document(**fields))
+        document = spec.to_dict()
+        assert "shards" not in document
+        assert document["backend"] in EXECUTION_BACKENDS
+        assert CampaignSpec.from_dict(document) == spec
+
+    @pytest.mark.parametrize("fields", PARENT_FIELDS, ids=PARENT_IDS)
+    def test_parent_spec_file_runs_under_the_cli(self, fields, tmp_path, capsys):
+        document = {
+            **self._document(**fields),
+            "experiments": ["HERMES"],
+            "configuration_keys": ["SL5_64bit_gcc4.4"],
+        }
+        path = tmp_path / "campaign.json"
+        path.write_text(json.dumps(document))
+        assert cli_main(["campaign", "--scale", "0.1", "--spec", str(path)]) == 0
+        output = capsys.readouterr().out
+        assert "submitted campaign-0001: 1/1 cells" in output
+        assert f"'{CampaignSpec.from_dict(document).backend}' backend" in output
+
+    def test_parent_queued_submission_resumes_under_serve(self, tmp_path, capsys):
+        self._write_service(tmp_path, [("queued_", self._parent_submission(1))])
+        directory = str(tmp_path)
+        assert cli_main(["serve", "--storage-dir", directory, "--scale", "0.1"]) == 0
+        output = capsys.readouterr().out
+        assert "1 queued submission(s) resumed" in output
+        assert "sub-000001 [alice] completed: campaign-0001" in output
+        assert not (tmp_path / "service" / "queued_sub-000001.json").exists()
+
+    def test_parent_submission_record_resumes_under_serve(self, tmp_path, capsys):
+        # A sharded submission the parent cancelled, then a queued one:
+        # serve reads the record and dispatches only the queued submission.
+        self._write_service(
+            tmp_path,
+            [
+                (
+                    "submission_",
+                    self._parent_submission(
+                        1, status="cancelled", backend="sharded", shards=2
+                    ),
+                ),
+                ("queued_", self._parent_submission(2)),
+            ],
+        )
+        directory = str(tmp_path)
+        assert cli_main(["serve", "--storage-dir", directory, "--scale", "0.1"]) == 0
+        output = capsys.readouterr().out
+        assert "1 queued submission(s) resumed" in output
+        assert "sub-000002 [alice] completed: campaign-0001" in output
+        rows = [
+            line.split()[:4]
+            for line in output.splitlines()
+            if line.startswith("sub-")
+        ]
+        assert rows == [
+            ["sub-000001", "alice", "normal", "cancelled"],
+            ["sub-000002", "alice", "normal", "completed"],
+        ]
+
+    def test_parent_documents_list_under_queue_status(self, tmp_path, capsys):
+        self._write_service(
+            tmp_path,
+            [
+                (
+                    "submission_",
+                    self._parent_submission(
+                        1, status="cancelled", backend="sharded", shards=2
+                    ),
+                ),
+                ("queued_", self._parent_submission(2, backend="threads")),
+            ],
+        )
+        assert cli_main(["queue", "status", "--storage-dir", str(tmp_path)]) == 0
+        output = capsys.readouterr().out
+        assert "1 queued of 2 recorded submission(s)" in output
+        assert "sub-000001" in output and "sub-000002" in output
+
+    def test_parent_queued_submission_cancels_offline(self, tmp_path, capsys):
+        self._write_service(
+            tmp_path,
+            [("queued_", self._parent_submission(1, backend="sharded", shards=2))],
+        )
+        assert cli_main([
+            "queue", "cancel", "--storage-dir", str(tmp_path),
+            "--submission", "sub-000001",
+        ]) == 0
+        assert not (tmp_path / "service" / "queued_sub-000001.json").exists()
+        record = json.loads(
+            (tmp_path / "service" / "submission_sub-000001.json").read_text()
+        )
+        assert record["status"] == "cancelled"
+        # The record is rewritten in today's shape.
+        assert "shards" not in record["spec"]
+        spec = record["spec"]
+        assert (spec["backend"], spec["workers"], spec["slots_per_worker"]) == (
+            "processes", 2, 1,
+        )

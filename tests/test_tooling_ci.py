@@ -80,37 +80,36 @@ class TestCiScript:
         assert "-m examples" in source
         # ... the bench marker audit ...
         assert "--collect-only" in source and "benchmarks/" in source
-        # ... the history-ledger write audit ...
-        assert "history-ledger write audit" in source
-        assert "src/repro/history/" in source
-        # ... the scheduler monotonic-clock audit ...
-        assert "monotonic-clock audit" in source
-        assert "src/repro/scheduler" in source
-        # ... the lifecycle-purity audit ...
-        assert "lifecycle-purity audit" in source
-        assert "src/repro/plugins" in source
-        # ... the service-purity audit ...
-        assert "service-purity audit" in source
-        assert "src/repro/service" in source
-        # ... the telemetry-purity audit ...
-        assert "telemetry-purity audit" in source
-        assert "src/repro/telemetry" in source
-        assert "src/repro/hepdata" in source
-        # ... and the bench-trend gate, in nine stages: the tier-1 run
-        # already covers every backend, so no separate parity shard.
+        # ... and the bench-trend gate, in four stages.
         assert "bench-trends check" in source
-        assert "stage 9/9" in source and "/10" not in source
-        assert "REPRO_PARITY_BACKENDS" not in source
+        for stage in (
+            "stage 1/4: bench marker audit",
+            "stage 2/4: tier-1 test suite",
+            "stage 3/4: bench-trends gate",
+            "stage 4/4: examples smoke run",
+        ):
+            assert stage in source
+        assert "/9" not in source
+        # The structural audits run once, as the tier-1 classes below; the
+        # script keeps no shell copy of them.
+        for audit in (
+            "history-ledger write audit",
+            "monotonic-clock audit",
+            "lifecycle-purity audit",
+            "service-purity audit",
+            "telemetry-purity audit",
+        ):
+            assert audit not in source
+        assert "grep -rn" not in source
 
 
 class TestHistoryLedgerWriteAudit:
     """The `history` storage namespace is owned by the ledger.
 
     A raw ``put`` into the namespace would bypass the append-only journal's
-    idempotence and index bookkeeping; ``scripts/ci.sh`` greps for literal
-    accesses outside ``src/repro/history/`` and this test enforces the same
-    rule in-process (so a plain pytest run catches violations without the
-    shell stage).
+    idempotence and index bookkeeping, so this test rejects literal
+    accesses outside ``src/repro/history/``; tier-1 (and so
+    ``scripts/ci.sh``) runs it.
     """
 
     PATTERN = re.compile(
@@ -162,8 +161,8 @@ class TestLifecyclePurityAudit:
     ingestion (``ingest_cycle()``) are owned by ``src/repro/plugins`` (with
     the defining core/history modules): a direct call elsewhere would
     bypass the lifecycle bus — tickets nobody's observer saw, history the
-    regression alerter never ran over.  ``scripts/ci.sh`` greps for the
-    calls; this test enforces the same rule in-process.
+    regression alerter never ran over.  Tier-1 (and so ``scripts/ci.sh``)
+    runs this audit.
     """
 
     PATTERN = re.compile(r"InterventionTracker\(|ingest_cycle\(")
@@ -223,11 +222,8 @@ class TestLifecyclePurityAudit:
 class TestSchedulerMonotonicClockAudit:
     """src/repro/scheduler/ must time itself with time.monotonic() only.
 
-    The wall-clock backends report task offsets from a campaign-local
-    origin; a ``time.time()`` call would tie those offsets to a clock NTP
-    can step backwards, silently corrupting makespans and utilisation.
-    ``scripts/ci.sh`` greps for the call; this test enforces the same rule
-    in-process.
+    A ``time.time()`` call would tie scheduler timings to a clock NTP can
+    step backwards.  Tier-1 (and so ``scripts/ci.sh``) runs this audit.
     """
 
     PATTERN = re.compile(r"time\.time\(")
@@ -265,8 +261,7 @@ class TestServicePurityAudit:
     ``src/repro/service/`` would open a second execution path around it,
     and a ``time.time()`` call would tie rate limiting to a wall clock NTP
     can step (the token buckets run on an injectable monotonic clock).
-    ``scripts/ci.sh`` greps for the calls; this test enforces the same
-    rule in-process.
+    Tier-1 (and so ``scripts/ci.sh``) runs this audit.
     """
 
     PATTERN = re.compile(
@@ -312,7 +307,7 @@ class TestServicePurityAudit:
 class TestTelemetryPurityAudit:
     """Telemetry observes on monotonic clocks; science stays uninstrumented.
 
-    Two rules, both also enforced as a ``scripts/ci.sh`` stage: no
+    Two rules, run by tier-1 (and so ``scripts/ci.sh``): no
     ``time.time()`` under ``src/repro/telemetry/`` (the registry and
     tracer run on injectable monotonic clocks, so metric timestamps can
     never be stepped by NTP), and no ``repro.telemetry`` import under the
