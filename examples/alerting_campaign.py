@@ -128,7 +128,7 @@ def main() -> None:
     pages.index_page()
 
     written = system.storage.persist(output_directory)
-    print(f"\npersisted {len(written)} storage documents below {output_directory}")
+    print(f"\npersisted {len(written)} new or changed files below {output_directory}")
     with open(event_log) as handle:
         logged = [json.loads(line) for line in handle]
     print(f"event log {event_log}: {len(logged)} JSONL events")

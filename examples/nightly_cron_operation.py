@@ -167,7 +167,7 @@ def main() -> None:
         else tempfile.mkdtemp(prefix="sp-history-demo-")
     )
     written = system.storage.persist(output_directory)
-    print(f"\npersisted {len(written)} storage documents below {output_directory}")
+    print(f"\npersisted {len(written)} new or changed files below {output_directory}")
 
     # The persisted ledger answers the same questions from disk, through
     # the CLI — exactly what an operator would run the morning after.

@@ -189,7 +189,7 @@ def main() -> None:
         pages.index_page()
         pages.summary_page(matrix.render_text())
         written = system.storage.persist(output_directory)
-        print(f"\npersisted {len(written)} storage documents below {output_directory}")
+        print(f"\npersisted {len(written)} new or changed files below {output_directory}")
 
 
 if __name__ == "__main__":

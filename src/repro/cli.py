@@ -543,7 +543,7 @@ def _cmd_validate(arguments: argparse.Namespace) -> int:
     if arguments.output:
         StatusPageGenerator(system.storage, system.catalog).run_page(result.run)
         written = system.storage.persist(arguments.output)
-        print(f"persisted {len(written)} documents below {arguments.output}")
+        print(f"persisted {len(written)} new or changed files below {arguments.output}")
     return 0 if result.successful else 1
 
 
@@ -769,7 +769,7 @@ def _cmd_campaign(arguments: argparse.Namespace) -> int:
                 f"{open_regressions} open regression(s)"
             )
         written = system.storage.persist(arguments.output)
-        print(f"\npersisted {len(written)} documents below {arguments.output} "
+        print(f"\npersisted {len(written)} new or changed files below {arguments.output} "
               f"({appended_entries} new build-cache journal records for the "
               f"next campaign)")
     return 0
@@ -960,12 +960,13 @@ def _parse_tenant_flag(text: str) -> TenantPolicy:
         raise ReproError(f"invalid --tenant flag {text!r}: {error}") from error
 
 
-def _load_service_storage(storage_dir: str, create: bool = False) -> CommonStorage:
-    """Load a daemon's persisted storage (optionally starting fresh)."""
+def _load_service_storage(
+    storage_dir: str, namespaces: Optional[List[str]] = None
+) -> CommonStorage:
+    """Load a daemon's persisted storage (*namespaces* only, if given), or
+    start a fresh one where the directory does not exist yet."""
     if os.path.isdir(storage_dir):
-        return CommonStorage.load(storage_dir)
-    if not create:
-        raise ReproError(f"no such storage directory: {storage_dir}")
+        return CommonStorage.load(storage_dir, namespaces=namespaces)
     return CommonStorage()
 
 
@@ -988,7 +989,7 @@ def _print_service_tables(
 
 
 def _cmd_serve(arguments: argparse.Namespace) -> int:
-    storage = _load_service_storage(arguments.storage_dir, create=True)
+    storage = _load_service_storage(arguments.storage_dir)
     system = _provisioned_system(arguments.scale, storage=storage)
     service = ValidationService(
         system,
@@ -1017,7 +1018,7 @@ def _cmd_serve(arguments: argparse.Namespace) -> int:
     _print_service_tables(service)
     _print_rows(snapshot_rows(service.snapshot()), ["metric", "value"])
     print(
-        f"persisted {len(written)} documents below {arguments.storage_dir} "
+        f"persisted {len(written)} new or changed files below {arguments.storage_dir} "
         f"({appended} new build-cache journal records); live dashboard: "
         f"{os.path.join(arguments.storage_dir, 'reports', 'service.html')}"
     )
@@ -1025,9 +1026,13 @@ def _cmd_serve(arguments: argparse.Namespace) -> int:
 
 
 def _cmd_submit_async(arguments: argparse.Namespace) -> int:
-    storage = _load_service_storage(arguments.storage_dir, create=True)
-    # No provisioning and no warm start: this command only enqueues — the
-    # next `serve` run provisions a system and executes.
+    # Enqueueing reads and writes only the service namespace, so the call
+    # costs the same however many results, reports and cache records the
+    # directory holds.  No provisioning and no warm start: the next `serve`
+    # run provisions a system and executes.
+    storage = _load_service_storage(
+        arguments.storage_dir, namespaces=[SERVICE_NAMESPACE]
+    )
     system = SPSystem(storage=storage)
     service = ValidationService(system, warm_start=False, dashboard=False)
     if arguments.spec:
@@ -1043,7 +1048,7 @@ def _cmd_submit_async(arguments: argparse.Namespace) -> int:
     print(
         f"queued {submission.submission_id} for tenant "
         f"{submission.tenant!r} ({submission.priority} lane); queue depth "
-        f"{service.queue.depth()}, {len(written)} documents persisted "
+        f"{service.queue.depth()}, {len(written)} new or changed files persisted "
         f"below {arguments.storage_dir}"
     )
     return 0
@@ -1173,7 +1178,7 @@ def _cmd_trace(arguments: argparse.Namespace) -> int:
         )
         written = system.storage.persist(arguments.output)
         print(
-            f"persisted {len(written)} documents below {arguments.output} "
+            f"persisted {len(written)} new or changed files below {arguments.output} "
             "(timing page: reports/telemetry.html)"
         )
     return 0

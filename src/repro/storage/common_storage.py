@@ -6,14 +6,18 @@ results are stored..."  The :class:`CommonStorage` models that shared area as
 a set of namespaces (tests, results, tarballs, recipes, reports) holding
 JSON-serialisable documents.  It works purely in memory by default and can
 optionally persist itself to a directory, which the examples use to leave
-inspectable output behind.
+inspectable output behind.  A persist writes only the files whose bytes are
+new or changed, each through a temp file renamed over its target, so a
+process killed mid-persist leaves every file with its old or its new bytes
+and repeated persists of a growing storage cost O(changed files).
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Dict, Iterable, List, Optional, Tuple
+import tempfile
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro._common import StorageError, ensure_identifier
 
@@ -47,6 +51,24 @@ JOURNAL_SEGMENT_RECORDS = 64
 #: recognises segments by this shape and explodes them back into individual
 #: records, so the in-memory representation never changes.
 _SEGMENT_SENTINEL = "sp-journal-segment"
+
+#: Suffix of the temp files :func:`_replace_file` renames into place.  It
+#: ends in neither ``.json`` nor ``.html``, so :meth:`CommonStorage.load`
+#: and the mirror cleanup ignore a temp file a killed process left behind.
+_TEMP_SUFFIX = ".tmp"
+
+
+def _new_file_mode() -> int:
+    """The mode ``open(path, "w")`` gives a new file: 0o666 less the umask."""
+    umask = os.umask(0)
+    os.umask(umask)
+    return 0o666 & ~umask
+
+
+#: ``mkstemp`` creates its files 0o600; the temp file gets this mode before
+#: it replaces the target, so other clients of the storage can read it.
+#: Read once, at import: reading the umask means setting it, process-wide.
+_NEW_FILE_MODE = _new_file_mode()
 
 
 def register_mirrored_namespace(name: str) -> str:
@@ -182,7 +204,14 @@ class CommonStorage:
         directory: str,
         mirror_namespaces: Optional[Iterable[str]] = None,
     ) -> List[str]:
-        """Write every document as a JSON file below *directory*.
+        """Write the new or changed documents as JSON files below *directory*.
+
+        Each document serialises to the bytes of one file.  A file that
+        already holds exactly those bytes is left alone; every other file is
+        written to a temp file in the same directory, which then replaces
+        it (``os.replace``), so a crash leaves the old bytes or the new ones
+        and never a truncated file.  There is no fsync: a power loss may
+        still lose the last writes.
 
         HTML page documents (the ``{"html": ...}`` shape the status web
         pages use) are written as browsable ``.html`` files instead, so the
@@ -206,9 +235,10 @@ class CommonStorage:
         files, not one per record; :meth:`load` explodes the segments back
         into individual record documents.
 
-        Returns the list of written file paths.  Used by the examples to
-        leave a browsable copy of the storage behind; the library itself
-        never requires disk access.
+        Returns the paths of the files it wrote (new or changed), so a
+        persist of an unchanged storage returns ``[]``.  Used by the
+        examples to leave a browsable copy of the storage behind; the
+        library itself never requires disk access.
         """
         mirrored = set(
             MIRRORED_NAMESPACES if mirror_namespaces is None else mirror_namespaces
@@ -218,48 +248,12 @@ class CommonStorage:
             namespace = self.namespace(namespace_name)
             target_dir = os.path.join(directory, namespace_name)
             os.makedirs(target_dir, exist_ok=True)
-            record_prefix = JOURNAL_NAMESPACE_PREFIXES.get(namespace_name)
-            journal_records: Dict[str, object] = {}
             expected = set()
-            for key, document in namespace.items():
-                if record_prefix is not None and _is_journal_record_key(
-                    key, record_prefix
-                ):
-                    journal_records[key] = document
-                    continue
-                if _is_html_document(document):
-                    path = os.path.join(target_dir, f"{key}.html")
-                    with open(path, "w", encoding="utf-8") as handle:
-                        handle.write(document["html"])  # type: ignore[index,arg-type]
-                else:
-                    path = os.path.join(target_dir, f"{key}.json")
-                    with open(path, "w", encoding="utf-8") as handle:
-                        json.dump(document, handle, indent=2, sort_keys=True)
-                expected.add(os.path.basename(path))
-                written.append(path)
-            # Numeric sequence order, not lexicographic: legacy unpadded
-            # record keys must be batched (and replayed) in append order.
-            record_keys = sorted(
-                journal_records,
-                key=lambda key: int(key[len(record_prefix):]),  # type: ignore[arg-type]
-            )
-            for start in range(0, len(record_keys), JOURNAL_SEGMENT_RECORDS):
-                chunk = record_keys[start:start + JOURNAL_SEGMENT_RECORDS]
-                # Named after the first record's sequence suffix, so the
-                # lexicographic file order is the journal's append order.
-                suffix = chunk[0][len(record_prefix):]  # type: ignore[arg-type]
-                path = os.path.join(
-                    target_dir, f"{record_prefix}segment_{suffix}.json"
-                )
-                with open(path, "w", encoding="utf-8") as handle:
-                    json.dump(
-                        {_SEGMENT_SENTINEL: {key: journal_records[key] for key in chunk}},
-                        handle,
-                        indent=2,
-                        sort_keys=True,
-                    )
-                expected.add(os.path.basename(path))
-                written.append(path)
+            for filename, data in _namespace_files(namespace):
+                expected.add(filename)
+                path = os.path.join(target_dir, filename)
+                if _write_if_changed(path, data):
+                    written.append(path)
             if namespace_name not in mirrored:
                 continue
             for filename in sorted(os.listdir(target_dir)):
@@ -294,8 +288,12 @@ class CommonStorage:
                 path = os.path.join(namespace_dir, filename)
                 if filename.endswith(".json"):
                     key = filename[:-len(".json")]
-                    with open(path, encoding="utf-8") as handle:
-                        document = json.load(handle)
+                    try:
+                        document = json.loads(_read_text(path))
+                    except json.JSONDecodeError as error:
+                        raise StorageError(
+                            f"storage document {path} is not valid JSON: {error}"
+                        ) from None
                     if _is_segment_document(document):
                         # A journal segment file: explode it back into the
                         # individual record documents it batches.
@@ -307,8 +305,7 @@ class CommonStorage:
                         namespace.put(key, document)
                 elif filename.endswith(".html"):
                     key = filename[:-len(".html")]
-                    with open(path, encoding="utf-8") as handle:
-                        namespace.put(key, {"html": handle.read()})
+                    namespace.put(key, {"html": _read_text(path)})
         return storage
 
 
@@ -328,6 +325,84 @@ def _is_segment_document(document: object) -> bool:
         and set(document) == {_SEGMENT_SENTINEL}
         and isinstance(document[_SEGMENT_SENTINEL], dict)
     )
+
+
+def _namespace_files(namespace: StorageNamespace) -> Iterator[Tuple[str, bytes]]:
+    """``(filename, bytes)`` of each file :meth:`CommonStorage.persist`
+    writes for *namespace*, serialised one at a time."""
+    record_prefix = JOURNAL_NAMESPACE_PREFIXES.get(namespace.name)
+    journal_records: Dict[str, object] = {}
+    for key, document in namespace.items():
+        if record_prefix is not None and _is_journal_record_key(key, record_prefix):
+            journal_records[key] = document
+        elif _is_html_document(document):
+            html: str = document["html"]  # type: ignore[index]
+            yield f"{key}.html", html.encode("utf-8")
+        else:
+            yield f"{key}.json", _json_bytes(document)
+    # Numeric sequence order, not lexicographic: legacy unpadded record keys
+    # must be batched (and replayed) in append order.
+    record_keys = sorted(
+        journal_records,
+        key=lambda key: int(key[len(record_prefix):]),  # type: ignore[arg-type]
+    )
+    for start in range(0, len(record_keys), JOURNAL_SEGMENT_RECORDS):
+        chunk = record_keys[start:start + JOURNAL_SEGMENT_RECORDS]
+        # Named after the first record's sequence suffix, so the
+        # lexicographic file order is the journal's append order.
+        suffix = chunk[0][len(record_prefix):]  # type: ignore[arg-type]
+        yield f"{record_prefix}segment_{suffix}.json", _json_bytes(
+            {_SEGMENT_SENTINEL: {key: journal_records[key] for key in chunk}}
+        )
+
+
+def _json_bytes(document: object) -> bytes:
+    """The bytes of the file :meth:`CommonStorage.persist` writes for *document*."""
+    return json.dumps(document, indent=2, sort_keys=True).encode("utf-8")
+
+
+def _read_text(path: str) -> str:
+    """The text of a persisted file; :class:`StorageError` if not UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as error:
+        raise StorageError(
+            f"storage document {path} is not valid UTF-8: {error}"
+        ) from None
+
+
+def _write_if_changed(path: str, data: bytes) -> bool:
+    """Make *path* hold *data*; False when it already did (nothing written)."""
+    try:
+        with open(path, "rb") as handle:
+            if handle.read() == data:
+                return False
+    except FileNotFoundError:
+        pass
+    _replace_file(path, data)
+    return True
+
+
+def _replace_file(path: str, data: bytes) -> None:
+    """Write *data* to a fresh temp file beside *path*, then rename it over *path*.
+
+    ``mkstemp`` gives every writer its own temp file, so two processes
+    persisting into one directory never write into each other's.  The temp
+    file is removed if the write or the rename fails.
+    """
+    directory, filename = os.path.split(path)
+    descriptor, temp_path = tempfile.mkstemp(
+        prefix=f".{filename}.", suffix=_TEMP_SUFFIX, dir=directory
+    )
+    try:
+        with os.fdopen(descriptor, "wb") as handle:
+            os.fchmod(handle.fileno(), _NEW_FILE_MODE)
+            handle.write(data)
+        os.replace(temp_path, path)
+    except BaseException:
+        os.unlink(temp_path)
+        raise
 
 
 class AppendOnlyJournal:

@@ -8,6 +8,8 @@ so the tests never need to seed anything themselves.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.core.spsystem import SPSystem
@@ -97,3 +99,28 @@ def sp_system():
     system = SPSystem()
     system.provision_standard_images()
     return system
+
+
+def _file_states(directory, backdate=False):
+    """Relative path -> (mtime_ns, inode, bytes) of every file below
+    *directory*.  With *backdate*, every file's mtime is first set long in
+    the past (September 2001), so any later write shows in ``st_mtime_ns``
+    however coarse the file system's clock is."""
+    states = {}
+    for root, _subdirectories, filenames in os.walk(directory):
+        for filename in filenames:
+            path = os.path.join(root, filename)
+            if backdate:
+                os.utime(path, ns=(10**18, 10**18))
+            info = os.stat(path)
+            with open(path, "rb") as handle:
+                states[os.path.relpath(path, directory)] = (
+                    info.st_mtime_ns, info.st_ino, handle.read(),
+                )
+    return states
+
+
+@pytest.fixture()
+def file_states():
+    """:func:`_file_states`, to see which files a persist wrote."""
+    return _file_states

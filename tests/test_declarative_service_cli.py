@@ -1,5 +1,9 @@
 """Tests for declarative experiment specs, the regular-operation service and the CLI."""
 
+import json
+import os
+import shutil
+
 import pytest
 
 from repro._common import SchedulingError, ValidationError
@@ -11,6 +15,9 @@ from repro.core.testspec import TestKind
 from repro.environment.configuration import next_generation_configuration
 from repro.experiments.declarative import experiment_from_spec, spec_from_experiment
 from repro.experiments.hermes import build_hermes_experiment
+from repro.scheduler.spec import CampaignSpec
+from repro.service import ValidationService
+from repro.storage.common_storage import CommonStorage
 
 
 BASIC_SPEC = {
@@ -540,3 +547,90 @@ class TestHistoryCli:
         output = capsys.readouterr().out
         assert "regression(s)" in output
         assert "classification" in output
+
+
+#: A one-cell campaign, small enough to serve in about a second.
+ONE_CELL = CampaignSpec(
+    experiments=("HERMES",), configuration_keys=("SL5_64bit_gcc4.4",)
+)
+
+
+@pytest.fixture(scope="module")
+def one_cell_spec(tmp_path_factory):
+    path = tmp_path_factory.mktemp("specs") / "one_cell.json"
+    path.write_text(json.dumps(ONE_CELL.to_dict()))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def served_directory(tmp_path_factory, one_cell_spec):
+    """A service directory holding two served cells: run documents,
+    reports, a build-cache journal and the service records."""
+    directory = str(tmp_path_factory.mktemp("served") / "storage")
+    for tenant in ("alice", "carol"):
+        assert cli_main([
+            "submit-async", "--storage-dir", directory, "--tenant", tenant,
+            "--spec", one_cell_spec,
+        ]) == 0
+    assert cli_main(["serve", "--storage-dir", directory, "--scale", "0.1"]) == 0
+    return directory
+
+
+class TestServiceStorageCli:
+    """``submit-async`` reads and writes only ``service/``; unreadable
+    documents fail the commands that read them with a named error."""
+
+    def test_submit_async_changes_only_the_service_namespace(
+        self, served_directory, one_cell_spec, tmp_path, file_states
+    ):
+        cli_copy = str(tmp_path / "cli")
+        library_copy = str(tmp_path / "library")
+        shutil.copytree(served_directory, cli_copy)
+        shutil.copytree(served_directory, library_copy)
+        before = file_states(cli_copy, backdate=True)
+        assert any(path.startswith("results" + os.sep) for path in before)
+        assert cli_main([
+            "submit-async", "--storage-dir", cli_copy, "--tenant", "bob",
+            "--priority", "high", "--spec", one_cell_spec,
+        ]) == 0
+        after = file_states(cli_copy)
+        changed = {
+            path for path in set(before) | set(after)
+            if before.get(path) != after.get(path)
+        }
+        assert changed
+        assert all(path.startswith("service" + os.sep) for path in changed)
+        # The same submission through a fully loaded storage leaves the
+        # same directory.
+        storage = CommonStorage.load(library_copy)
+        service = ValidationService(
+            SPSystem(storage=storage), warm_start=False, dashboard=False
+        )
+        service.submit("bob", ONE_CELL, "high")
+        storage.persist(library_copy)
+        library = file_states(library_copy)
+        assert {path: state[2] for path, state in after.items()} == {
+            path: state[2] for path, state in library.items()
+        }
+
+    def test_an_unreadable_run_document_fails_serve_but_not_submit_async(
+        self, served_directory, one_cell_spec, tmp_path, capsys
+    ):
+        directory = str(tmp_path / "storage")
+        shutil.copytree(served_directory, directory)
+        results = os.path.join(directory, "results")
+        truncated = os.path.join(
+            results, min(name for name in os.listdir(results) if name.endswith(".json"))
+        )
+        with open(truncated, "r+b") as handle:
+            handle.truncate(os.path.getsize(truncated) // 2)
+        capsys.readouterr()
+        assert cli_main(["serve", "--storage-dir", directory, "--scale", "0.1"]) == 2
+        error = capsys.readouterr().err
+        assert error.startswith("error: ")
+        assert truncated in error
+        assert cli_main([
+            "submit-async", "--storage-dir", directory, "--tenant", "bob",
+            "--spec", one_cell_spec,
+        ]) == 0
+        assert "queued sub-000003" in capsys.readouterr().out

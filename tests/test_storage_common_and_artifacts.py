@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import pytest
 
@@ -9,7 +10,13 @@ from repro._common import StorageError
 from repro.buildsys.builder import PackageBuilder
 from repro.buildsys.package import Language, PackageCategory, SoftwarePackage
 from repro.storage.artifacts import ArtifactStore
-from repro.storage.common_storage import CommonStorage, DEFAULT_NAMESPACES, StorageNamespace
+from repro.storage.common_storage import (
+    AppendOnlyJournal,
+    CommonStorage,
+    DEFAULT_NAMESPACES,
+    JOURNAL_SEGMENT_RECORDS,
+    StorageNamespace,
+)
 
 
 class TestStorageNamespace:
@@ -268,6 +275,144 @@ class TestJournalSegmentFiles:
 
         assert ValidationHistoryLedger.NAMESPACE in JOURNAL_NAMESPACE_PREFIXES
         assert ValidationHistoryLedger.NAMESPACE in MIRRORED_NAMESPACES
+
+
+def _changed(before, after):
+    """Relative paths added, removed or touched between two ``file_states``."""
+    return {
+        path for path in set(before) | set(after)
+        if before.get(path) != after.get(path)
+    }
+
+
+class TestIncrementalPersist:
+    """``persist`` writes only new or changed files, each by an atomic replace."""
+
+    #: Journal records in :meth:`_storage`: three segment files, the last
+    #: one holding three records.
+    RECORDS = 2 * JOURNAL_SEGMENT_RECORDS + 3
+
+    def _storage(self):
+        storage = CommonStorage()
+        storage.put("results", "run_001", {"status": "passed"})
+        storage.put("results", "run_002", {"status": "failed"})
+        storage.put("reports", "index", {"html": "<p>two runs</p>"})
+        namespace = storage.create_namespace("buildcache")
+        for sequence in range(1, self.RECORDS + 1):
+            namespace.put(f"journal_{sequence:08d}", {"type": "entry", "n": sequence})
+        namespace.put("statistics", {"hits": 1})
+        return storage
+
+    def test_persisting_an_unchanged_storage_writes_nothing(
+        self, tmp_path, file_states
+    ):
+        storage = self._storage()
+        assert len(storage.persist(str(tmp_path))) == 2 + 1 + 3 + 1
+        before = file_states(tmp_path, backdate=True)
+        assert storage.persist(str(tmp_path)) == []
+        # Same bytes, same mtime, same inode: no file was even replaced.
+        assert file_states(tmp_path) == before
+
+    def test_changing_one_document_rewrites_only_its_file(
+        self, tmp_path, file_states
+    ):
+        storage = self._storage()
+        storage.persist(str(tmp_path))
+        before = file_states(tmp_path, backdate=True)
+        storage.put("results", "run_002", {"status": "passed"})
+        target = os.path.join("results", "run_002.json")
+        assert storage.persist(str(tmp_path)) == [os.path.join(str(tmp_path), target)]
+        after = file_states(tmp_path)
+        assert _changed(before, after) == {target}
+        assert json.loads(after[target][2]) == {"status": "passed"}
+
+    def test_appending_one_record_rewrites_only_the_last_segment(
+        self, tmp_path, file_states
+    ):
+        storage = self._storage()
+        storage.persist(str(tmp_path))
+        before = file_states(tmp_path, backdate=True)
+        AppendOnlyJournal(storage.namespace("buildcache")).append({"type": "entry"})
+        last = os.path.join(
+            "buildcache", f"journal_segment_{2 * JOURNAL_SEGMENT_RECORDS + 1:08d}.json"
+        )
+        assert storage.persist(str(tmp_path)) == [os.path.join(str(tmp_path), last)]
+        assert _changed(before, file_states(tmp_path)) == {last}
+        loaded = CommonStorage.load(str(tmp_path))
+        assert len(loaded.keys("buildcache", prefix="journal_")) == self.RECORDS + 1
+
+    def test_a_failed_replace_keeps_the_old_bytes_and_no_temp_file(
+        self, tmp_path, monkeypatch, file_states
+    ):
+        storage = self._storage()
+        storage.persist(str(tmp_path))
+        before = file_states(tmp_path)
+        storage.put("results", "run_001", {"status": "failed"})
+        storage.put("results", "run_002", {"status": "passed"})
+        replace = os.replace
+        targets = []
+
+        def replace_then_fail(source, target):
+            targets.append(target)
+            if len(targets) == 2:
+                raise OSError("no space left on device")
+            replace(source, target)
+
+        monkeypatch.setattr(os, "replace", replace_then_fail)
+        with pytest.raises(OSError, match="no space left"):
+            storage.persist(str(tmp_path))
+        monkeypatch.undo()
+        after = file_states(tmp_path)
+        # The first file was replaced whole, the second kept its old bytes,
+        # and the second's temp file is gone.
+        assert set(after) == set(before)
+        assert _changed(before, after) == {os.path.join("results", "run_001.json")}
+        loaded = CommonStorage.load(str(tmp_path))
+        assert loaded.get("results", "run_001") == {"status": "failed"}
+        assert loaded.get("results", "run_002") == {"status": "failed"}
+
+    def test_a_stray_temp_file_is_ignored(self, tmp_path):
+        storage = self._storage()
+        storage.persist(str(tmp_path))
+        # What a persist killed between its write and its rename leaves.
+        stray = tmp_path / "buildcache" / ".statistics.json.k3x9q1.tmp"
+        stray.write_text('{"hits": ')
+        loaded = CommonStorage.load(str(tmp_path))
+        assert loaded.keys("buildcache") == storage.keys("buildcache")
+        assert loaded.persist(str(tmp_path)) == []
+
+    def test_written_files_get_the_mode_of_a_plain_open(self, tmp_path):
+        probe = tmp_path / "probe"
+        with open(probe, "w", encoding="utf-8"):
+            pass
+        storage = self._storage()
+        written = storage.persist(str(tmp_path / "storage"))
+        storage.put("results", "run_001", {"status": "failed"})
+        written += storage.persist(str(tmp_path / "storage"))
+        assert {os.stat(path).st_mode for path in written} == {os.stat(probe).st_mode}
+
+
+class TestUnreadableDocuments:
+    """``load`` names the file it cannot read instead of a bare decode error."""
+
+    def test_truncated_json_raises_a_storage_error_naming_the_file(self, tmp_path):
+        storage = CommonStorage()
+        storage.put("results", "run_001", {"status": "passed"})
+        storage.persist(str(tmp_path))
+        path = tmp_path / "results" / "run_001.json"
+        path.write_text('{"status": "pas')
+        with pytest.raises(StorageError, match=re.escape(str(path))):
+            CommonStorage.load(str(tmp_path))
+
+    @pytest.mark.parametrize("filename", ["run_001.json", "index.html"])
+    def test_invalid_utf8_raises_a_storage_error_naming_the_file(
+        self, tmp_path, filename
+    ):
+        (tmp_path / "results").mkdir()
+        path = tmp_path / "results" / filename
+        path.write_bytes(b'{"status": "\xff"}')
+        with pytest.raises(StorageError, match=re.escape(str(path)) + ".*UTF-8"):
+            CommonStorage.load(str(tmp_path))
 
 
 class TestArtifactStore:

@@ -8,6 +8,7 @@ hook stays in place, that it really covers every ``test_bench_*.py`` file,
 and that ``scripts/ci.sh`` runs the documented stages.
 """
 
+import ast
 import os
 import re
 import stat
@@ -302,6 +303,109 @@ class TestServicePurityAudit:
         assert not self.PATTERN.search("handle = self.system.submit(spec)")
         assert not self.PATTERN.search("return time.monotonic()")
         assert not self.PATTERN.search("self.clock = clock or monotonic_clock")
+
+
+class TestStorageWritePathAudit:
+    """Files under src/repro/storage/ are written only by the atomic writer.
+
+    ``CommonStorage.persist`` writes each new or changed file to a temp file
+    and renames it over its target (``_replace_file``), so a process killed
+    mid-persist leaves every file with its old or its new bytes.  An
+    ``open`` for a truncating write (``"w"``, ``"wb"``, ``"x"``) anywhere
+    else under ``src/repro/storage/`` would bring truncated files back.
+    Tier-1 (and so ``scripts/ci.sh``) runs this audit.
+    """
+
+    #: The atomic writer: the one function that may open a file for writing.
+    WRITER = (
+        os.path.join("src", "repro", "storage", "common_storage.py"),
+        "_replace_file",
+    )
+    OPENERS = {"open", "fdopen"}
+    #: An open mode that creates or truncates: one ``w`` or ``x`` among the
+    #: other mode characters.
+    MODE = re.compile(r"^[rbt+]*[wx][rbt+]*$")
+
+    def _is_truncating_open(self, call):
+        function = call.func
+        if isinstance(function, ast.Name):
+            name = function.id
+        else:
+            name = getattr(function, "attr", None)
+        if name not in self.OPENERS:
+            return False
+        # The mode is the second argument of open/fdopen, the first of
+        # Path.open, or the mode= keyword.
+        modes = call.args[:2] + [
+            keyword.value for keyword in call.keywords if keyword.arg == "mode"
+        ]
+        return any(
+            isinstance(mode, ast.Constant)
+            and isinstance(mode.value, str)
+            and self.MODE.match(mode.value)
+            for mode in modes
+        )
+
+    def _truncating_opens(self, source):
+        """``(line, enclosing function)`` of each truncating open in *source*."""
+        found = []
+
+        def visit(node, function):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    visit(child, child.name)
+                    continue
+                if isinstance(child, ast.Call) and self._is_truncating_open(child):
+                    found.append((child.lineno, function))
+                visit(child, function)
+
+        visit(ast.parse(source), None)
+        return found
+
+    def test_storage_opens_files_for_writing_only_in_the_atomic_writer(self):
+        storage_root = os.path.join(REPO_ROOT, "src", "repro", "storage")
+        violations = []
+        writer_opens = 0
+        for directory, _subdirectories, filenames in os.walk(storage_root):
+            for filename in filenames:
+                if not filename.endswith(".py"):
+                    continue
+                path = os.path.join(directory, filename)
+                relative = os.path.relpath(path, REPO_ROOT)
+                with open(path, encoding="utf-8") as handle:
+                    opens = self._truncating_opens(handle.read())
+                for line_number, function in opens:
+                    if (relative, function) == self.WRITER:
+                        writer_opens += 1
+                    else:
+                        violations.append(f"{relative}:{line_number} in {function}")
+        assert violations == [], (
+            "truncating open under src/repro/storage/ outside the atomic "
+            "writer — write through _replace_file instead:\n"
+            + "\n".join(violations)
+        )
+        # The audit still recognises the writer it exempts.
+        assert writer_opens == 1
+
+    def test_the_audit_catches_an_in_place_write(self):
+        """An in-place ``open(path, "w")`` write is caught; reads are not."""
+        source = (
+            "def persist(path, document):\n"
+            "    with open(path, \"w\", encoding=\"utf-8\") as handle:\n"
+            "        json.dump(document, handle)\n"
+            "    with open(path, encoding=\"utf-8\") as handle:\n"
+            "        handle.read()\n"
+            "    with open(path, \"rb\") as handle:\n"
+            "        handle.read()\n"
+            "    open(path, mode=\"x\").close()\n"
+            "    pathlib.Path(path).open(\"wb\").close()\n"
+            "def _replace_file(path, data):\n"
+            "    with os.fdopen(descriptor, \"wb\") as handle:\n"
+            "        handle.write(data)\n"
+        )
+        assert self._truncating_opens(source) == [
+            (2, "persist"), (8, "persist"), (9, "persist"), (11, "_replace_file"),
+        ]
 
 
 class TestTelemetryPurityAudit:
