@@ -12,7 +12,7 @@
 #      pytest -x -q -m "not bench"; its determinism suites run both
 #      backends, and tests/test_tooling_ci.py carries the structural
 #      audits (history-ledger writes, scheduler clock, lifecycle, service
-#      and telemetry purity).
+#      and telemetry purity, and the storage write path).
 #   3. bench-trends gate — `repro bench-trends check` compares the latest
 #      recorded benchmark trend point of every series against the
 #      trailing median and fails on a regression past the threshold

@@ -287,12 +287,6 @@ class BuildCache:
     def __init__(self, artifact_store: Optional[ArtifactStore] = None) -> None:
         self.artifact_store = artifact_store
         self._entries: Dict[str, BuildResult] = {}
-        #: :meth:`entry_size_bytes` of each entry, kept from the first time it
-        #: is needed until the entry is replaced or evicted (entries are
-        #: private copies, never mutated), so the size total the service
-        #: reads on every dispatch re-serialises nothing, and a restore that
-        #: never asks for sizes pays nothing for them.
-        self._sizes: Dict[str, int] = {}
         #: Experiment that first stored each entry (the donor of shared hits).
         self._owners: Dict[str, str] = {}
         #: Per-entry count of hits served to a different experiment than the
@@ -371,7 +365,6 @@ class BuildCache:
         """Record *result* under its content-digest key and return the key."""
         key = package_identity_digest(package, configuration)
         self._entries[key] = self._replay(result, package)
-        self._sizes.pop(key, None)
         # The first storing experiment stays the donor even if the entry is
         # later re-stored (the content is identical by construction).
         self._owners.setdefault(key, package.experiment)
@@ -395,14 +388,12 @@ class BuildCache:
         the next :meth:`persist_to` appends their tombstones.
         """
         self._entries.clear()
-        self._sizes.clear()
         self._recency.clear()
         self._owners.clear()
         self._shared_counts.clear()
 
     def _evict(self, key: str) -> None:
         del self._entries[key]
-        self._sizes.pop(key, None)
         self._recency.pop(key, None)
         self._owners.pop(key, None)
         self._shared_counts.pop(key, None)
@@ -418,15 +409,9 @@ class BuildCache:
         tarball_bytes = 0 if entry.tarball is None else entry.tarball.size_bytes
         return document_bytes + tarball_bytes
 
-    def _entry_size(self, key: str) -> int:
-        size = self._sizes.get(key)
-        if size is None:
-            size = self._sizes[key] = self.entry_size_bytes(self._entries[key])
-        return size
-
     def total_size_bytes(self) -> int:
         """Persisted footprint of the whole cache (documents plus tarballs)."""
-        return sum(self._entry_size(key) for key in self._entries)
+        return sum(self.entry_size_bytes(entry) for entry in self._entries.values())
 
     def enforce_budget(self, max_bytes: int) -> int:
         """Evict entries until the cache fits *max_bytes*, sparing donors.
@@ -455,7 +440,7 @@ class BuildCache:
         ):
             if total <= max_bytes:
                 break
-            total -= self._entry_size(key)
+            total -= self.entry_size_bytes(self._entries[key])
             self._evict(key)
             evicted += 1
         return evicted

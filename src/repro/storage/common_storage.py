@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
+import secrets
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro._common import StorageError, ensure_identifier
@@ -56,19 +56,6 @@ _SEGMENT_SENTINEL = "sp-journal-segment"
 #: ends in neither ``.json`` nor ``.html``, so :meth:`CommonStorage.load`
 #: and the mirror cleanup ignore a temp file a killed process left behind.
 _TEMP_SUFFIX = ".tmp"
-
-
-def _new_file_mode() -> int:
-    """The mode ``open(path, "w")`` gives a new file: 0o666 less the umask."""
-    umask = os.umask(0)
-    os.umask(umask)
-    return 0o666 & ~umask
-
-
-#: ``mkstemp`` creates its files 0o600; the temp file gets this mode before
-#: it replaces the target, so other clients of the storage can read it.
-#: Read once, at import: reading the umask means setting it, process-wide.
-_NEW_FILE_MODE = _new_file_mode()
 
 
 def register_mirrored_namespace(name: str) -> str:
@@ -387,17 +374,19 @@ def _write_if_changed(path: str, data: bytes) -> bool:
 def _replace_file(path: str, data: bytes) -> None:
     """Write *data* to a fresh temp file beside *path*, then rename it over *path*.
 
-    ``mkstemp`` gives every writer its own temp file, so two processes
-    persisting into one directory never write into each other's.  The temp
-    file is removed if the write or the rename fails.
+    The temp file has a random name and is created exclusively
+    (``O_EXCL``), so two processes persisting into one directory never
+    write into each other's; it gets the mode a plain ``open`` gives (0o666
+    less the process's umask).  The temp file is removed if the write or
+    the rename fails.
     """
     directory, filename = os.path.split(path)
-    descriptor, temp_path = tempfile.mkstemp(
-        prefix=f".{filename}.", suffix=_TEMP_SUFFIX, dir=directory
+    temp_path = os.path.join(
+        directory, f".{filename}.{secrets.token_hex(6)}{_TEMP_SUFFIX}"
     )
+    descriptor = os.open(temp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(descriptor, "wb") as handle:
-            os.fchmod(handle.fileno(), _NEW_FILE_MODE)
             handle.write(data)
         os.replace(temp_path, path)
     except BaseException:

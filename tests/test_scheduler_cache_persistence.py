@@ -10,8 +10,6 @@ rewrites the log from the live state under an optional size budget.  A fresh
 campaign with cache hits while producing bit-identical run documents.
 """
 
-import dataclasses
-
 import pytest
 
 from repro._common import StorageError
@@ -721,47 +719,6 @@ class TestSizeBudget:
             storage, max_bytes=cache.total_size_bytes()
         ) == len(inventory.all())
         assert cache.statistics.evictions == 0
-
-    def test_kept_size_total_matches_the_recomputed_sum(
-        self, inventory, sl5_64_gcc44
-    ):
-        """total_size_bytes sums sizes kept beside the entries; after any
-        mix of stores, replays, a cross-experiment re-store, a restore,
-        evictions and a budget it equals re-serialising every live entry."""
-        packages = inventory.all()
-        builder = PackageBuilder()
-
-        def recomputed(cache):
-            return sum(
-                BuildCache.entry_size_bytes(entry)
-                for entry in cache._entries.values()
-            )
-
-        cache, store = _populated_cache(inventory, sl5_64_gcc44)
-        assert cache.total_size_bytes() == recomputed(cache) > 0
-        for package in packages[::2]:
-            assert cache.lookup(package, sl5_64_gcc44) is not None
-        assert cache.total_size_bytes() == recomputed(cache)
-        # The same content stored by another experiment replaces the entry
-        # with one bound to the new package, whose document is shorter.
-        donor = packages[1]
-        other = dataclasses.replace(donor, experiment="OTHER")
-        cache.store(other, sl5_64_gcc44, builder.build_package(other, sl5_64_gcc44))
-        assert cache.total_size_bytes() == recomputed(cache)
-        storage = CommonStorage()
-        cache.persist_to(storage)
-        restored = BuildCache.restore_from(storage, store)
-        assert restored.total_size_bytes() == cache.total_size_bytes()
-        store.remove(
-            builder.build_package(packages[0], sl5_64_gcc44).tarball.digest
-        )
-        assert restored.lookup(packages[0], sl5_64_gcc44) is None  # evicted
-        assert restored.total_size_bytes() == recomputed(restored)
-        budget = restored.total_size_bytes() // 2
-        assert restored.enforce_budget(budget) > 0
-        assert restored.total_size_bytes() == recomputed(restored) <= budget
-        restored.clear()
-        assert restored.total_size_bytes() == 0
 
     def test_negative_budget_rejected(self, inventory, sl5_64_gcc44):
         cache, _store = _populated_cache(inventory, sl5_64_gcc44)
