@@ -9,9 +9,10 @@ that factor on a 100-cell campaign and also times the fingerprint
 memoisation satellite (cold vs memoised ``configuration_fingerprint``).
 
 Both results, along with the headline campaign metrics (cells/sec, cache
-hit rate, journal bytes, ledger µs/event), are appended to the trend
-series under ``benchmarks/_results/trends/`` that the
-``repro bench-trends check`` CI gate compares against the trailing median.
+hit rate, journal bytes, ledger µs/event), are written to
+``benchmarks/_results/telemetry-overhead.json``.  Wall time is too noisy
+to gate CI on; the CI gate compares perfbench's exact work counts instead
+(``scripts/work_counts.py``).
 """
 
 import time
@@ -25,7 +26,7 @@ from repro.environment.configuration import (
 )
 from repro.experiments import build_hermes_experiment
 from repro.scheduler.spec import CampaignSpec
-from repro.telemetry import MetricsObserver, Telemetry, record_trend
+from repro.telemetry import MetricsObserver, Telemetry
 
 from conftest import emit
 
@@ -76,9 +77,8 @@ def _best_of(telemetry_factory):
 def _memoisation_delta():
     """Cold vs memoised configuration_fingerprint, microseconds per call.
 
-    Best-of-``REPEATS`` minima: single-digit-microsecond loops jitter far
-    more than the 25% trend threshold on a loaded box, the minimum is the
-    stable statistic.
+    Best-of-``REPEATS`` minima: single-digit-microsecond loops jitter by
+    tens of percent on a loaded box, the minimum is the stable statistic.
     """
     configurations = sp_system_configurations()
     calls = 500
@@ -140,32 +140,6 @@ def test_telemetry_overhead_100_cells(benchmark):
     )
     cold_us, memoised_us = _memoisation_delta()
 
-    context = {"cells": campaign.n_cells, "rounds": ROUNDS}
-    record_trend(
-        "telemetry_overhead_factor", round(factor, 4), "lower_is_better",
-        unit="x", context=context,
-    )
-    record_trend(
-        "campaign_cells_per_second", round(cells_per_second, 2),
-        "higher_is_better", unit="cells/s", context=context,
-    )
-    record_trend(
-        "build_cache_hit_rate", round(hit_rate, 4), "higher_is_better",
-        unit="ratio", context=context,
-    )
-    record_trend(
-        "journal_bytes", journal_bytes, "lower_is_better",
-        unit="bytes", context=context,
-    )
-    record_trend(
-        "ledger_us_per_event", round(ledger_us_per_event, 3),
-        "lower_is_better", unit="us", context=context,
-    )
-    record_trend(
-        "fingerprint_memoised_us", round(memoised_us, 4), "lower_is_better",
-        unit="us", context={"cold_us": round(cold_us, 4)},
-    )
-
     emit(
         "Telemetry-overhead",
         f"100-cell campaign ({ROUNDS} rounds x 5 configurations), "
@@ -199,7 +173,6 @@ def test_telemetry_overhead_100_cells(benchmark):
             f"cache hit rate {hit_rate:.2%}, journal {journal_bytes:.0f} "
             f"bytes, ledger ingest {ledger_us_per_event:.1f} us/event; "
             f"configuration_fingerprint {cold_us:.1f} us cold vs "
-            f"{memoised_us:.2f} us memoised; all six series appended to "
-            "benchmarks/_results/trends/ for the bench-trends CI gate"
+            f"{memoised_us:.2f} us memoised"
         ),
     )

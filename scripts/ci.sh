@@ -3,7 +3,7 @@
 #
 # Mirrors the staged check layout of the pyhc-actions compliance tooling:
 # a cheap structural audit first, then the tier-1 suite, then the
-# bench-trend gate and the headless example smoke runs.  Stages:
+# work-count gate and the headless example smoke runs.  Stages:
 #
 #   1. bench marker audit — every test below benchmarks/ must carry the
 #      `bench` marker, or the tier-1 deselection (-m "not bench") would
@@ -13,10 +13,13 @@
 #      backends, and tests/test_tooling_ci.py carries the structural
 #      audits (history-ledger writes, scheduler clock, lifecycle, service
 #      and telemetry purity, and the storage write path).
-#   3. bench-trends gate — `repro bench-trends check` compares the latest
-#      recorded benchmark trend point of every series against the
-#      trailing median and fails on a regression past the threshold
-#      (a fresh checkout with no recorded series passes trivially).
+#   3. work-count gate — scripts/work_counts.py runs every perfbench
+#      workload once at a tiny size, fails on a science mismatch or a
+#      failed operation, and prints the exact work counts (physics calls,
+#      cache lookups, storage files loaded and written, ...); the stage
+#      fails when they differ from the committed scripts/work_counts.json.
+#      A change meant to alter the work re-records the file with
+#      python3 scripts/work_counts.py > scripts/work_counts.json
 #   4. examples — headless smoke run of every examples/*.py script:
 #      pytest -m examples
 #
@@ -40,11 +43,17 @@ echo "ok: every benchmarks/ test carries the bench marker"
 echo "== stage 2/4: tier-1 test suite =="
 python -m pytest -x -q -m "not bench"
 
-echo "== stage 3/4: bench-trends gate =="
-# Gate on the recorded benchmark trend series: the latest point of every
-# series must stay within the threshold of the trailing median.  A fresh
-# checkout with no recorded series passes trivially.
-python -m repro.cli bench-trends check
+echo "== stage 3/4: work-count gate =="
+# Counts, not wall times: they repeat exactly across runs of one seed, so
+# any difference is a change in the work the commit does.
+counts=$(python3 scripts/work_counts.py)
+if ! diff -u scripts/work_counts.json - <<<"${counts}"; then
+    echo "error: perfbench work counts differ from scripts/work_counts.json;" \
+         "if the change is meant, re-record them with:" \
+         "python3 scripts/work_counts.py > scripts/work_counts.json" >&2
+    exit 1
+fi
+echo "ok: perfbench science and work counts match scripts/work_counts.json"
 
 if [ "${1:-}" = "--skip-examples" ]; then
     echo "== stage 4/4: examples smoke run skipped =="

@@ -69,14 +69,7 @@ from repro.scheduler.cache import BuildCache
 from repro.scheduler.pool import SCHEDULING_POLICIES
 from repro.scheduler.spec import ON_DEADLINE_MODES, CampaignSpec
 from repro.storage.common_storage import CommonStorage
-from repro.telemetry import (
-    DEFAULT_THRESHOLD,
-    DEFAULT_TRENDS_DIR,
-    DEFAULT_WINDOW,
-    Telemetry,
-    check_trends,
-    prometheus_text,
-)
+from repro.telemetry import Telemetry, prometheus_text
 from repro.environment.configuration import next_generation_configuration
 from repro.experiments import (
     build_h1_experiment,
@@ -431,32 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "directory")
     trace.set_defaults(handler=_cmd_trace)
 
-    bench_trends = subparsers.add_parser(
-        "bench-trends",
-        help="inspect or gate the recorded benchmark trend series",
-    )
-    bench_trends_sub = bench_trends.add_subparsers(
-        dest="bench_trends_command", required=True
-    )
-    bench_trends_check = bench_trends_sub.add_parser(
-        "check",
-        help="compare the latest point of every trend series against the "
-             "trailing median; exit 1 on any regression past the threshold",
-    )
-    bench_trends_check.add_argument(
-        "--dir", default=None, metavar="TRENDS_DIR",
-        help="trend series directory (default benchmarks/_results/trends)",
-    )
-    bench_trends_check.add_argument(
-        "--threshold", type=_positive_float, default=None,
-        help="relative regression threshold (default 0.25 = 25%%)",
-    )
-    bench_trends_check.add_argument(
-        "--window", type=_positive_int, default=None,
-        help="trailing points forming the median baseline (default 10)",
-    )
-    bench_trends_check.set_defaults(handler=_cmd_bench_trends_check)
-
     migrate = subparsers.add_parser("migrate-plan", help="plan a migration to a new platform")
     migrate.add_argument("--experiment", required=True, choices=sorted(_EXPERIMENT_BUILDERS))
     migrate.add_argument("--source", default="SL5_64bit_gcc4.4")
@@ -632,52 +599,40 @@ def _cmd_campaign(arguments: argparse.Namespace) -> int:
             "--cache-dir conflicts with --no-cache (or a spec file with "
             "\"use_cache\": false): there is no cache to warm-start"
         )
-    if (
-        spec.use_cache
-        and spec.warm_start
-        and cache_dir
-        and os.path.isdir(cache_dir)
-    ):
-        # Warm-start (gated on the *effective* spec settings, so a --spec
-        # file disabling the cache or the warm start skips it — the
-        # persisted spec record must replay the same campaign): replay
-        # only the build-cache journal of the previous campaign, not its
-        # accumulated run documents and report pages.
-        restored = system.restore_build_cache(
-            CommonStorage.load(cache_dir, namespaces=[BuildCache.NAMESPACE]),
-            missing_ok=True,
-        )
-        if restored is not None:
-            print(f"warm-started build cache: {len(restored)} entries from {cache_dir}")
-    if (
-        spec.record_history is not False
-        and cache_dir
-        and os.path.isdir(cache_dir)
-    ):
-        # Mount a previously persisted history ledger before submitting, so
-        # repeated campaigns against one --output accumulate one continuous
-        # history (and the record_history=None auto mode keeps recording).
-        mounted = system.restore_history(
-            CommonStorage.load(
-                cache_dir, namespaces=[ValidationHistoryLedger.NAMESPACE]
-            ),
-            missing_ok=True,
-        )
-        if mounted is not None:
-            print(
-                f"mounted validation history: {len(mounted)} event(s) "
-                f"from {cache_dir}"
-            )
+    warm_start = spec.use_cache and spec.warm_start
+    mount_history = spec.record_history is not False
     if cache_dir and os.path.isdir(cache_dir):
-        # Mount previously persisted tickets, so the regression alerter
-        # deduplicates against — instead of re-opening — the open tickets
-        # of earlier campaigns, and the persisted output carries them all.
-        mounted_store = system.restore_interventions(
-            CommonStorage.load(
-                cache_dir, namespaces=[InterventionStore.NAMESPACE]
-            ),
-            missing_ok=True,
-        )
+        # One load of only the namespaces restored below: the previous
+        # campaigns' build-cache journal, history ledger and tickets, never
+        # their accumulated run documents and report pages.
+        previous = CommonStorage.load(cache_dir, namespaces=[
+            name for name, wanted in (
+                (BuildCache.NAMESPACE, warm_start),
+                (ValidationHistoryLedger.NAMESPACE, mount_history),
+                (InterventionStore.NAMESPACE, True),
+            ) if wanted
+        ])
+        if warm_start:
+            # Gated on the *effective* spec settings, so a --spec file
+            # disabling the cache or the warm start skips it — the
+            # persisted spec record must replay the same campaign.
+            restored = system.restore_build_cache(previous, missing_ok=True)
+            if restored is not None:
+                print(f"warm-started build cache: {len(restored)} entries from {cache_dir}")
+        if mount_history:
+            # Repeated campaigns against one --output accumulate one
+            # continuous history (and the record_history=None auto mode
+            # keeps recording).
+            mounted = system.restore_history(previous, missing_ok=True)
+            if mounted is not None:
+                print(
+                    f"mounted validation history: {len(mounted)} event(s) "
+                    f"from {cache_dir}"
+                )
+        # The regression alerter deduplicates against — instead of
+        # re-opening — the open tickets of earlier campaigns, and the
+        # persisted output carries them all.
+        mounted_store = system.restore_interventions(previous, missing_ok=True)
         if mounted_store is not None:
             print(
                 f"mounted {len(mounted_store.tickets())} intervention "
@@ -1181,39 +1136,6 @@ def _cmd_trace(arguments: argparse.Namespace) -> int:
             f"persisted {len(written)} new or changed files below {arguments.output} "
             "(timing page: reports/telemetry.html)"
         )
-    return 0
-
-
-def _cmd_bench_trends_check(arguments: argparse.Namespace) -> int:
-    directory = arguments.dir or DEFAULT_TRENDS_DIR
-    threshold = (
-        arguments.threshold if arguments.threshold is not None
-        else DEFAULT_THRESHOLD
-    )
-    window = arguments.window if arguments.window is not None else DEFAULT_WINDOW
-    verdicts = check_trends(directory, threshold=threshold, window=window)
-    if not verdicts:
-        print(
-            f"no trend series below {directory}: nothing to gate "
-            "(run the benchmarks to seed them)"
-        )
-        return 0
-    print(
-        f"{len(verdicts)} trend series below {directory} "
-        f"(threshold {threshold:.0%}, window {window})"
-    )
-    print(format_table(
-        ["metric", "points", "latest", "baseline", "change", "verdict"],
-        [verdict.to_row() for verdict in sorted(verdicts.values(),
-                                                key=lambda item: item.metric)],
-    ))
-    regressed = [v for v in verdicts.values() if v.regressed]
-    if regressed:
-        print(
-            f"{len(regressed)} metric(s) regressed past the "
-            f"{threshold:.0%} threshold"
-        )
-        return 1
     return 0
 
 

@@ -27,7 +27,8 @@ queued cells.
 from __future__ import annotations
 
 import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (
@@ -200,7 +201,16 @@ class ProcessPoolBackend(ExecutionBackend):
         ) as pool:
 
             def map_cells(cells: Sequence[CellWork]) -> List[List["ComputedJob"]]:
-                futures = [pool.submit(_compute_in_child, cell) for cell in cells]
+                futures: List[Future] = []
+                for cell in cells:
+                    try:
+                        futures.append(pool.submit(_compute_in_child, cell))
+                    except BrokenProcessPool as error:
+                        # A child died while the round was being submitted:
+                        # this cell fails in matrix order, after the cells
+                        # already submitted.
+                        futures.append(Future())
+                        futures[-1].set_exception(error)
                 computed: List[List["ComputedJob"]] = []
                 for cell, future in zip(cells, futures):
                     try:

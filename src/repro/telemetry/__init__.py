@@ -1,4 +1,4 @@
-"""Unified telemetry: metrics, tracing spans, exporters and trend gating.
+"""Unified telemetry: metrics, tracing spans and exporters.
 
 One bundle object, :class:`Telemetry`, carries the two live sinks —
 a :class:`~repro.telemetry.metrics.MetricsRegistry` and a
@@ -24,16 +24,6 @@ from typing import Callable, Optional
 from repro.telemetry.exporters import prometheus_text
 from repro.telemetry.metrics import HistogramSeries, MetricsRegistry
 from repro.telemetry.tracing import Span, SpanTracer
-from repro.telemetry.trends import (
-    DEFAULT_THRESHOLD,
-    DEFAULT_TRENDS_DIR,
-    DEFAULT_WINDOW,
-    TrendVerdict,
-    check_series,
-    check_trends,
-    read_trend_series,
-    record_trend,
-)
 
 
 class _NullSpan:
@@ -160,9 +150,6 @@ def __getattr__(name: str):
 
 
 __all__ = [
-    "DEFAULT_THRESHOLD",
-    "DEFAULT_TRENDS_DIR",
-    "DEFAULT_WINDOW",
     "HistogramSeries",
     "MetricsObserver",
     "MetricsRegistry",
@@ -172,10 +159,5 @@ __all__ = [
     "Span",
     "SpanTracer",
     "Telemetry",
-    "TrendVerdict",
-    "check_series",
-    "check_trends",
     "prometheus_text",
-    "read_trend_series",
-    "record_trend",
 ]

@@ -3,19 +3,18 @@
 Covers the metrics registry (labelled series, snapshot round-trips, the
 injectable monotonic clock), the span tracer (parent/child trees,
 category inheritance, the comparable cell sequence, Chrome trace export),
-the Prometheus text exporter, the bench-trend series with its regression
-gate, the durable lifecycle event log, the heartbeat worker's error
-reporting, the ``MetricsObserver`` bridge, the fingerprint memoisation
-satellites, the telemetry status page and the new CLI commands.
+the Prometheus text exporter, the durable lifecycle event log, the
+heartbeat worker's error reporting, the ``MetricsObserver`` bridge, the
+fingerprint memoisation satellites, the telemetry status page and the
+new CLI commands.
 """
 
 import json
-import os
 import threading
 
 import pytest
 
-from repro._common import ReproError, SchedulingError
+from repro._common import SchedulingError
 from repro.cli import main as cli_main
 from repro.scheduler.lifecycle import (
     EVENT_CELL_COMPLETED,
@@ -33,11 +32,7 @@ from repro.telemetry import (
     NULL_TELEMETRY,
     SpanTracer,
     Telemetry,
-    check_series,
-    check_trends,
     prometheus_text,
-    read_trend_series,
-    record_trend,
 )
 
 
@@ -259,93 +254,6 @@ class TestPrometheusExport:
         assert 'bad_label="va\\"lue"' in text
 
 
-class TestTrendSeries:
-    def test_record_and_read_round_trip(self, tmp_path):
-        directory = str(tmp_path)
-        path = record_trend(
-            "cells_per_second", 120.5, "higher_is_better",
-            unit="cells/s", context={"backend": "simulated"},
-            directory=directory,
-        )
-        record_trend(
-            "cells_per_second", 118.0, "higher_is_better", directory=directory
-        )
-        points = read_trend_series(path)
-        assert [point["value"] for point in points] == [120.5, 118.0]
-        assert points[0]["context"] == {"backend": "simulated"}
-        assert points[0]["unit"] == "cells/s"
-
-    def test_unknown_direction_is_rejected(self, tmp_path):
-        with pytest.raises(ReproError):
-            record_trend("x", 1.0, "sideways_is_better", directory=str(tmp_path))
-
-    def test_truncated_final_line_is_tolerated(self, tmp_path):
-        path = record_trend(
-            "journal_bytes", 100.0, "lower_is_better", directory=str(tmp_path)
-        )
-        record_trend("journal_bytes", 105.0, "lower_is_better", directory=str(tmp_path))
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"metric": "journal_bytes", "val')  # killed mid-append
-        points = read_trend_series(path)
-        assert [point["value"] for point in points] == [100.0, 105.0]
-
-    def test_mid_file_corruption_is_an_error(self, tmp_path):
-        path = os.path.join(str(tmp_path), "bad.jsonl")
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write("not json at all\n")
-            handle.write('{"metric": "x", "value": 1.0}\n')
-        with pytest.raises(ReproError):
-            read_trend_series(path)
-
-    def test_check_series_flags_regressions_in_the_bad_direction(self):
-        def points(direction, values):
-            return [
-                {"metric": "m", "direction": direction, "value": value}
-                for value in values
-            ]
-
-        # Throughput halves: regression.
-        verdict = check_series(
-            points("higher_is_better", [100, 100, 100, 45]),
-            threshold=0.25, window=10,
-        )
-        assert verdict.regressed
-        # Throughput doubles: improvement, not a regression.
-        verdict = check_series(
-            points("higher_is_better", [100, 100, 100, 220]),
-            threshold=0.25, window=10,
-        )
-        assert not verdict.regressed
-        # Latency doubles: regression the other way round.
-        verdict = check_series(
-            points("lower_is_better", [10, 10, 10, 22]),
-            threshold=0.25, window=10,
-        )
-        assert verdict.regressed
-
-    def test_single_point_has_no_baseline_and_passes(self):
-        verdict = check_series(
-            [{"metric": "m", "direction": "lower_is_better", "value": 5.0}],
-            threshold=0.25, window=10,
-        )
-        assert verdict.baseline is None
-        assert not verdict.regressed
-        assert verdict.to_row()[-1] == "ok"
-
-    def test_check_trends_over_a_directory(self, tmp_path):
-        directory = str(tmp_path)
-        for value in (100.0, 101.0, 99.0, 40.0):
-            record_trend("throughput", value, "higher_is_better", directory=directory)
-        record_trend("bytes", 10.0, "lower_is_better", directory=directory)
-        verdicts = check_trends(directory, threshold=0.25, window=10)
-        assert set(verdicts) == {"throughput", "bytes"}
-        assert verdicts["throughput"].regressed
-        assert not verdicts["bytes"].regressed
-
-    def test_missing_directory_yields_no_verdicts(self, tmp_path):
-        assert check_trends(str(tmp_path / "nowhere")) == {}
-
-
 class TestEventLogDurability:
     def _emit(self, registry, path, count):
         sink = FileEventSink(path)
@@ -501,26 +409,6 @@ class TestTelemetryCli:
         assert "cell_validate" in names
         assert "spec_validation" in names
         assert "cumulative s" in captured.out
-
-    def test_bench_trends_check_gates_on_regressions(self, tmp_path, capsys):
-        directory = str(tmp_path)
-        for value in (100.0, 101.0, 99.0):
-            record_trend(
-                "cells_per_second", value, "higher_is_better",
-                directory=directory,
-            )
-        assert cli_main(["bench-trends", "check", "--dir", directory]) == 0
-        record_trend(
-            "cells_per_second", 10.0, "higher_is_better", directory=directory
-        )
-        assert cli_main(["bench-trends", "check", "--dir", directory]) == 1
-        captured = capsys.readouterr()
-        assert "REGRESSED" in captured.out
-
-    def test_bench_trends_check_passes_on_a_fresh_checkout(self, tmp_path, capsys):
-        missing = str(tmp_path / "never-recorded")
-        assert cli_main(["bench-trends", "check", "--dir", missing]) == 0
-        assert "nothing to gate" in capsys.readouterr().out
 
     def test_campaign_telemetry_flag_prints_the_phase_table(self, capsys):
         exit_code = cli_main([

@@ -5,10 +5,12 @@ relies on every test below ``benchmarks/`` carrying the ``bench`` marker —
 otherwise slow paper-reproduction benchmarks leak into CI.  The marker is
 applied centrally by ``benchmarks/conftest.py``; these tests pin that the
 hook stays in place, that it really covers every ``test_bench_*.py`` file,
-and that ``scripts/ci.sh`` runs the documented stages.
+that ``scripts/ci.sh`` runs the documented stages, and that the work-count
+file its third stage compares against is complete.
 """
 
 import ast
+import json
 import os
 import re
 import stat
@@ -81,12 +83,14 @@ class TestCiScript:
         assert "-m examples" in source
         # ... the bench marker audit ...
         assert "--collect-only" in source and "benchmarks/" in source
-        # ... and the bench-trend gate, in four stages.
-        assert "bench-trends check" in source
+        # ... and the work-count gate, in four stages.
+        assert "scripts/work_counts.py" in source
+        # The wall-time trend gate it replaced is gone.
+        assert not re.search(r"bench.trends", source)
         for stage in (
             "stage 1/4: bench marker audit",
             "stage 2/4: tier-1 test suite",
-            "stage 3/4: bench-trends gate",
+            "stage 3/4: work-count gate",
             "stage 4/4: examples smoke run",
         ):
             assert stage in source
@@ -102,6 +106,32 @@ class TestCiScript:
         ):
             assert audit not in source
         assert "grep -rn" not in source
+
+
+class TestWorkCountsFile:
+    """``scripts/work_counts.json`` records every exact perfbench count.
+
+    The CI gate diffs it against a fresh run, so it must name exactly the
+    benchmark's workloads and its ``count``-unit per-layer metrics: a
+    change to the benchmark's metric list fails here until the file is
+    re-recorded.
+    """
+
+    def test_counts_file_matches_the_benchmark_metric_list(self):
+        with open(os.path.join(REPO_ROOT, "scripts", "work_counts.json")) as handle:
+            counts = json.load(handle)
+        with open(os.path.join(REPO_ROOT, "BENCHMARK.json")) as handle:
+            benchmark = json.load(handle)
+        count_metrics = {
+            metric["name"] for metric in benchmark["per_layer"]
+            if metric["unit"] == "count"
+        }
+        assert count_metrics
+        assert set(counts) == {"matrix", "service", "nightly"}
+        for workload, metrics in counts.items():
+            assert set(metrics) == count_metrics, workload
+            for name, value in metrics.items():
+                assert type(value) is int and value >= 0, (workload, name, value)
 
 
 class TestHistoryLedgerWriteAudit:
