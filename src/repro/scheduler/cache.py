@@ -275,8 +275,8 @@ class BuildCache:
     ARTIFACT_PREFIX = "artifact_"
     STATISTICS_KEY = "statistics"
     #: Monotonic per-journal write counter ({"epoch": n}), bumped by every
-    #: persist; lets a cache detect cheaply that another writer touched the
-    #: journal since it last synced.
+    #: persist that appends or rewrites records; lets a cache detect cheaply
+    #: that another writer touched the journal since it last synced.
     EPOCH_KEY = "lineage"
     #: Entry prefix of the pre-journal wholesale-snapshot format.  Its keys
     #: predate the experiment-agnostic content digest and can never be hit
@@ -501,6 +501,7 @@ class BuildCache:
             self._persisted_shared[key] = self._shared_counts.get(key, 0)
             self._persist_artifact(namespace, entry)
             appended += 1
+        superseded = 0
         for key in sorted(set(self._entries) & set(self._persisted)):
             # An already-journalled entry whose shared-hit count moved since
             # (a cross-experiment donation happened after its record was
@@ -513,8 +514,11 @@ class BuildCache:
                 self._entry_record(key, self._entries[key])
             )
             self._persisted_shared[key] = self._shared_counts.get(key, 0)
+            superseded += 1
         namespace.put(self.STATISTICS_KEY, self.statistics.as_dict())
-        self._mark_synced(namespace)
+        self._mark_synced(
+            namespace, changed=bool(pending_tombstones or appended or superseded)
+        )
         return appended
 
     def compact(
@@ -548,10 +552,16 @@ class BuildCache:
         except (TypeError, ValueError):
             return 0
 
-    def _mark_synced(self, namespace) -> None:
-        """Stamp the journal with a bumped epoch and remember it."""
-        epoch = self._journal_epoch(namespace) + 1
-        namespace.put(self.EPOCH_KEY, {"epoch": epoch})
+    def _mark_synced(self, namespace, changed: bool = True) -> None:
+        """Remember the journal's epoch, bumped first if *changed*.
+
+        A persist that appended no record leaves the epoch as it is, so
+        it writes no lineage document either.
+        """
+        epoch = self._journal_epoch(namespace)
+        if changed:
+            epoch += 1
+            namespace.put(self.EPOCH_KEY, {"epoch": epoch})
         self._synced_namespace = namespace
         self._synced_epoch = epoch
 

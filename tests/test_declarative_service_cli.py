@@ -613,6 +613,24 @@ class TestServiceStorageCli:
             path: state[2] for path, state in library.items()
         }
 
+    def test_a_second_serve_with_an_empty_queue_writes_nothing(
+        self, served_directory, tmp_path, capsys, file_states
+    ):
+        directory = str(tmp_path / "storage")
+        shutil.copytree(served_directory, directory)
+        # The first empty-queue serve still redraws the dashboard (this
+        # daemon dispatched nothing); the second has nothing left to change.
+        serve = ["serve", "--storage-dir", directory, "--scale", "0.1"]
+        assert cli_main(serve) == 0
+        before = file_states(directory, backdate=True)
+        capsys.readouterr()
+        assert cli_main(serve) == 0
+        assert (
+            f"persisted 0 new or changed files below {directory}"
+            in capsys.readouterr().out
+        )
+        assert file_states(directory) == before
+
     def test_an_unreadable_run_document_fails_serve_but_not_submit_async(
         self, served_directory, one_cell_spec, tmp_path, capsys
     ):
