@@ -14,6 +14,8 @@ raises a :class:`SchedulingError` naming the backend and the cell.
 """
 
 import os
+import time
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -280,6 +282,24 @@ class TestFailureContract:
         assert "2 validation run(s) of the campaign remain recorded" in message
         assert [record.run_id for record in system.catalog.all()] == stamped
         assert len(stamped) == len(KEYS)
+
+    def test_child_dying_during_submission_fails_the_same_cell(
+        self, tmp_path, monkeypatch
+    ):
+        """A pause after each submission lets the child die before the
+        round's next cell is submitted, whose submission then raises; the
+        dead-child test's assertions hold unchanged."""
+        submit = ProcessPoolExecutor.submit
+
+        def pausing_submit(pool, *args, **kwargs):
+            future = submit(pool, *args, **kwargs)
+            time.sleep(0.3)
+            return future
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", pausing_submit)
+        self.test_dead_child_fails_the_campaign_naming_backend_and_cell(
+            "processes", tmp_path
+        )
 
     def test_registry_knows_both_backends(self):
         assert set(EXECUTION_BACKENDS) == {"simulated", "processes"}
