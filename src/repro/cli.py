@@ -605,13 +605,12 @@ def _cmd_campaign(arguments: argparse.Namespace) -> int:
         # One load of only the namespaces restored below: the previous
         # campaigns' build-cache journal, history ledger and tickets, never
         # their accumulated run documents and report pages.
-        previous = CommonStorage.load(cache_dir, namespaces=[
-            name for name, wanted in (
-                (BuildCache.NAMESPACE, warm_start),
-                (ValidationHistoryLedger.NAMESPACE, mount_history),
-                (InterventionStore.NAMESPACE, True),
-            ) if wanted
-        ])
+        namespaces = [InterventionStore.NAMESPACE]
+        if warm_start:
+            namespaces.append(BuildCache.NAMESPACE)
+        if mount_history:
+            namespaces.append(ValidationHistoryLedger.NAMESPACE)
+        previous = CommonStorage.load(cache_dir, namespaces=namespaces)
         if warm_start:
             # Gated on the *effective* spec settings, so a --spec file
             # disabling the cache or the warm start skips it — the
