@@ -15,6 +15,9 @@ from repro.core.testspec import TestKind
 from repro.environment.configuration import next_generation_configuration
 from repro.experiments.declarative import experiment_from_spec, spec_from_experiment
 from repro.experiments.hermes import build_hermes_experiment
+from repro.history import ValidationHistoryLedger
+from repro.plugins import InterventionStore
+from repro.scheduler.cache import BuildCache
 from repro.scheduler.spec import CampaignSpec
 from repro.service import ValidationService
 from repro.storage.common_storage import CommonStorage
@@ -652,3 +655,41 @@ class TestServiceStorageCli:
             "--spec", one_cell_spec,
         ]) == 0
         assert "queued sub-000003" in capsys.readouterr().out
+
+
+class TestCampaignStorageLoad:
+    """A campaign against an existing ``--output`` loads the previous
+    storage once, reading only the namespaces whose restore runs."""
+
+    @pytest.mark.parametrize("option, skipped", [
+        (None, None),
+        ("--no-cache", BuildCache.NAMESPACE),
+        ("--spec", ValidationHistoryLedger.NAMESPACE),
+    ])
+    def test_one_load_of_the_restored_namespaces(
+        self, tmp_path, monkeypatch, capsys, option, skipped
+    ):
+        loads = []
+        load = CommonStorage.load.__func__
+
+        def recording_load(cls, directory, namespaces=None):
+            loads.append(sorted(namespaces))
+            return load(cls, directory, namespaces=namespaces)
+
+        monkeypatch.setattr(CommonStorage, "load", classmethod(recording_load))
+        campaign = ["campaign", "--scale", "0.1", "--output", str(tmp_path / "out")]
+        assert cli_main(campaign) == 0
+        assert loads == []  # nothing persisted yet
+        spec = tmp_path / "no_history.json"
+        spec.write_text(json.dumps(dict(ONE_CELL.to_dict(), record_history=False)))
+        options = {None: [], "--no-cache": [option], "--spec": [option, str(spec)]}
+        capsys.readouterr()
+        assert cli_main(campaign + options[option]) == 0
+        restored = {
+            BuildCache.NAMESPACE,
+            ValidationHistoryLedger.NAMESPACE,
+            InterventionStore.NAMESPACE,
+        }
+        assert loads == [sorted(restored - {skipped})]
+        warm = "warm-started build cache" in capsys.readouterr().out
+        assert warm == (skipped != BuildCache.NAMESPACE)

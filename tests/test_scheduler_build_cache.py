@@ -2,9 +2,12 @@
 
 Covers hit/miss accounting, sensitivity of the cache key to compiler, OS and
 external-software changes in the environment configuration (including changes
-that do NOT alter ``configuration.key``), and eviction when a cached artifact
-is removed or overwritten in the :class:`ArtifactStore`.
+that do NOT alter ``configuration.key``), eviction when a cached artifact
+is removed or overwritten in the :class:`ArtifactStore`, and the journal's
+lineage epoch, which only a persist that journals a record moves.
 """
+
+from dataclasses import replace
 
 import pytest
 
@@ -20,6 +23,7 @@ from repro.scheduler.cache import (
 )
 from repro.scheduler.spec import CampaignSpec
 from repro.storage.artifacts import ArtifactStore
+from repro.storage.common_storage import CommonStorage
 
 
 @pytest.fixture()
@@ -258,3 +262,80 @@ class TestSystemLevelCache:
         assert [run.to_document() for run in campaign.runs()] == [
             run.to_document() for run in unbounded.last_campaign.runs()
         ]
+
+
+def _epoch(storage):
+    return storage.get(BuildCache.NAMESPACE, BuildCache.EPOCH_KEY)["epoch"]
+
+
+class TestJournalLineageEpoch:
+    """The ``buildcache/lineage`` epoch moves only with the journal, so a
+    persist with nothing to record leaves the files on disk alone."""
+
+    @staticmethod
+    def _persisted(packages, configuration, storage):
+        cache = BuildCache(ArtifactStore())
+        for package in packages:
+            cache.store(
+                package, configuration,
+                PackageBuilder().build_package(package, configuration),
+            )
+        cache.persist_to(storage)
+        return cache
+
+    def test_persist_with_nothing_to_record_keeps_the_epoch(
+        self, inventory, sl5_64_gcc44
+    ):
+        storage = CommonStorage()
+        cache = self._persisted(inventory.all(), sl5_64_gcc44, storage)
+        assert cache.persist_to(storage) == 0
+        assert _epoch(storage) == 1
+
+    def test_restored_cache_persisted_back_unchanged_writes_no_file(
+        self, inventory, sl5_64_gcc44, tmp_path
+    ):
+        """The empty-queue ``serve`` round trip: load, restore, persist."""
+        storage = CommonStorage()
+        self._persisted(inventory.all(), sl5_64_gcc44, storage)
+        assert storage.persist(str(tmp_path))
+        loaded = CommonStorage.load(str(tmp_path))
+        assert BuildCache.restore_from(loaded, ArtifactStore()).persist_to(loaded) == 0
+        assert loaded.persist(str(tmp_path)) == []
+
+    @pytest.mark.parametrize("change", ["new_entry", "eviction", "shared_hit"])
+    def test_a_persist_that_journals_a_record_bumps_the_epoch(
+        self, inventory, sl5_64_gcc44, change
+    ):
+        packages = inventory.all()
+        storage = CommonStorage()
+        cache = self._persisted(packages[1:], sl5_64_gcc44, storage)
+        if change == "new_entry":
+            cache.store(
+                packages[0], sl5_64_gcc44,
+                PackageBuilder().build_package(packages[0], sl5_64_gcc44),
+            )
+        elif change == "eviction":
+            assert cache.enforce_budget(cache.total_size_bytes() - 1) == 1
+        else:  # a hit served to another experiment re-journals its donor
+            borrower = replace(packages[1], experiment="OTHEREXP")
+            assert cache.lookup(borrower, sl5_64_gcc44) is not None
+        records = BuildCache.journal_status(storage)["records"]
+        cache.persist_to(storage)
+        assert BuildCache.journal_status(storage)["records"] == records + 1
+        assert _epoch(storage) == 2
+
+    def test_foreign_rewrite_is_detected_after_an_unchanged_persist(
+        self, inventory, sl5_64_gcc44
+    ):
+        packages = inventory.all()
+        storage = CommonStorage()
+        cache_a = self._persisted(packages[:2], sl5_64_gcc44, storage)
+        cache_a.persist_to(storage)  # nothing to record: epoch stays 1
+        self._persisted(packages[2:3], sl5_64_gcc44, storage)  # rewrites
+        # A has nothing new, yet must see the rewrite and restore its own
+        # live state instead of leaving the other cache's journal in place.
+        cache_a.persist_to(storage)
+        assert _epoch(storage) == 3
+        restored = BuildCache.restore_from(storage, ArtifactStore())
+        assert [restored.contains(package, sl5_64_gcc44)
+                for package in packages[:3]] == [True, True, False]

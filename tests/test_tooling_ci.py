@@ -5,17 +5,22 @@ relies on every test below ``benchmarks/`` carrying the ``bench`` marker —
 otherwise slow paper-reproduction benchmarks leak into CI.  The marker is
 applied centrally by ``benchmarks/conftest.py``; these tests pin that the
 hook stays in place, that it really covers every ``test_bench_*.py`` file,
-that ``scripts/ci.sh`` runs the documented stages, and that the work-count
-file its third stage compares against is complete.
+that ``scripts/ci.sh`` runs the documented stages, that the work-count
+file its third stage compares against is complete, and that
+``scripts/work_counts.py`` keeps only count metrics, forgets only its own
+seed's recorded digests and fails when a perfbench run does.
 """
 
 import ast
+import importlib.util
 import json
 import os
 import re
 import stat
 import subprocess
 import sys
+
+import pytest
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCHMARKS_DIR = os.path.join(REPO_ROOT, "benchmarks")
@@ -132,6 +137,88 @@ class TestWorkCountsFile:
             assert set(metrics) == count_metrics, workload
             for name, value in metrics.items():
                 assert type(value) is int and value >= 0, (workload, name, value)
+
+    def test_counts_file_is_byte_for_byte_the_scripts_output(self):
+        """Sorted keys, one-space indent, trailing newline: the re-record
+        redirect reproduces the file, so stage 3's diff shows only counts."""
+        with open(os.path.join(REPO_ROOT, "scripts", "work_counts.json")) as handle:
+            text = handle.read()
+        assert text == json.dumps(json.loads(text), indent=1, sort_keys=True) + "\n"
+
+
+@pytest.fixture()
+def script(monkeypatch, tmp_path):
+    """``scripts/work_counts.py`` as a module, its repo root at *tmp_path*."""
+    spec = importlib.util.spec_from_file_location(
+        "work_counts", os.path.join(REPO_ROOT, "scripts", "work_counts.py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(module, "ROOT", str(tmp_path))
+    return module
+
+
+class TestWorkCountsScript:
+    """``scripts/work_counts.py`` against stubbed perfbench runs."""
+
+    @staticmethod
+    def _stub_perfbench(monkeypatch, returncode, stdout):
+        commands = []
+
+        def run(command, **kwargs):
+            commands.append(command)
+            return subprocess.CompletedProcess(command, returncode, stdout, "")
+
+        monkeypatch.setattr(subprocess, "run", run)
+        return commands
+
+    def test_forgets_only_the_gate_seeds_recorded_digests(self, script, tmp_path):
+        seed = script.SEED
+        names = [f"digests/matrix-{seed}-1.txt", f"digests/nightly-{seed}-1.txt",
+                 f"reference/matrix-{seed}-2.txt", f"digests/matrix-{seed + 4}-1.txt",
+                 f"digests/service-1{seed}-1.txt", f"reference/matrix-{seed + 4}-2.txt"]
+        for name in names:
+            path = tmp_path / ".perfbench-work" / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text("0" * 64)
+        script.forget_recorded_digests()
+        assert sorted(
+            path.relative_to(tmp_path / ".perfbench-work").as_posix()
+            for path in tmp_path.rglob("*.txt")
+        ) == sorted(names[3:])
+
+    def test_forgetting_without_a_work_directory_does_nothing(self, script, tmp_path):
+        script.forget_recorded_digests()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_keeps_only_the_count_metrics_of_the_final_line(self, script, monkeypatch):
+        metrics = {"hepdata.calls": {"value": 207, "unit": "count"},
+                   "hepdata.generate_s": {"value": 0.25, "unit": "s"},
+                   "cache.hit_ratio": {"value": 0.5, "unit": "ratio"}}
+        commands = self._stub_perfbench(
+            monkeypatch, 0, "warming up\n" + json.dumps({"metrics": metrics}) + "\n")
+        assert script.work_counts("service") == {"hepdata.calls": 207}
+        assert commands[0][2:] == ["--workload", "service", "--seed", str(script.SEED),
+                                   "--seconds", "1", "--trace", "1"]
+
+    def test_a_failed_run_exits_non_zero_and_shows_its_output(
+        self, script, monkeypatch, capsys
+    ):
+        self._stub_perfbench(monkeypatch, 1, "science mismatch: HERMES/SL5\n")
+        with pytest.raises(SystemExit) as failure:
+            script.work_counts("nightly")
+        assert failure.value.code == "error: perfbench nightly run failed (exit 1)"
+        assert "science mismatch: HERMES/SL5" in capsys.readouterr().err
+
+    def test_main_prints_sorted_counts_for_every_workload(
+        self, script, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(script, "work_counts", lambda workload: {"b.n": 2, "a.n": 1})
+        assert script.main() == 0
+        expected = {workload: {"a.n": 1, "b.n": 2}
+                    for workload in ("matrix", "nightly", "service")}
+        assert capsys.readouterr().out == (
+            json.dumps(expected, indent=1, sort_keys=True) + "\n")
 
 
 class TestHistoryLedgerWriteAudit:
