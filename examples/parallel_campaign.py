@@ -18,7 +18,7 @@ per campaign, one task per cell, with run documents identical to the
 simulated backend; two
 experiments pinning the same external packages share builds through the
 experiment-agnostic content-addressed cache keys and warm-start each other
-across installations via the append-only ``buildcache`` journal, and the
+across installations via the persisted ``buildcache`` namespace, and the
 same campaign is scheduled under each pool policy to compare the dispatch
 orders.
 
@@ -109,16 +109,15 @@ def main() -> None:
           f"{replayed.schedule.total_slots} slots")
     print(f"  run documents identical to the simulated backend: {identical}")
 
-    # -- journal persistence and warm-start on a fresh installation -----------
-    print("\nPersisting the build-cache journal and warm-starting a fresh "
-          "sp-system...")
-    appended = system.persist_build_cache()
+    # -- cache persistence and warm-start on a fresh installation -------------
+    print("\nPersisting the build cache and warm-starting a fresh sp-system...")
+    added = system.persist_build_cache()
     status = BuildCache.journal_status(system.storage)
-    print(f"  first persist appended {appended} journal entries "
-          f"({status['records']} records, {status['bytes']:,} bytes)")
-    # Persistence is incremental: nothing changed, so nothing is appended.
-    print(f"  re-persist without new builds appended "
-          f"{system.persist_build_cache()} records")
+    print(f"  first persist added {added} cache entries "
+          f"({status['entries']} entry documents, {status['bytes']:,} bytes)")
+    # Persistence is incremental: nothing changed, so nothing is added.
+    print(f"  re-persist without new builds added "
+          f"{system.persist_build_cache()} entries")
     warm_system = _fresh_system()
     warm_system.restore_build_cache(system.storage)
     warm = warm_system.submit(spec).result()
@@ -141,7 +140,7 @@ def main() -> None:
     donor.register_experiment(build_zeus_experiment(scale=0.15, shared_externals=True))
     donor.submit(CampaignSpec(description="ZEUS donor campaign"))
     donor_entries = donor.persist_build_cache()
-    print(f"  ZEUS campaign journalled {donor_entries} build-cache entries")
+    print(f"  ZEUS campaign persisted {donor_entries} build-cache entries")
 
     taker = SPSystem(
         runner_settings=RunnerSettings(simulated_seconds_per_test=30.0)

@@ -15,8 +15,10 @@ re-records the file, and its diff states the change in work.
 
 Exits 1, printing the run's output, when a perfbench run fails: a cell
 whose science differs from ``perfbench/science.json``, a twin and traced
-run of one seed that disagree, or a failed operation.  Stdlib only; it
-changes nothing under ``perfbench/``.
+run of one seed that disagree, or a failed operation.  After each run it
+parses, it deletes the trace and result files perfbench left for the gate
+seed under ``.perfbench-work/``, so repeated gates do not pile them up.
+Stdlib only; it changes nothing under ``perfbench/``.
 """
 
 from __future__ import annotations
@@ -47,6 +49,15 @@ def forget_recorded_digests() -> None:
             os.remove(path)
 
 
+def forget_run_files(workload: str) -> None:
+    """Remove the trace and result files of *workload*'s runs at the gate
+    seed; the gate reads a run's counts from its output, not from them."""
+    work = os.path.join(ROOT, ".perfbench-work")
+    for directory in ("traces", "results"):
+        for path in glob.glob(os.path.join(work, directory, f"{workload}-{SEED}-*.json")):
+            os.remove(path)
+
+
 def work_counts(workload: str) -> dict:
     """The ``count``-unit per-layer metrics of one tiny traced run."""
     completed = subprocess.run(
@@ -58,6 +69,7 @@ def work_counts(workload: str) -> dict:
         raise SystemExit(f"error: perfbench {workload} run failed "
                          f"(exit {completed.returncode})")
     metrics = json.loads(completed.stdout.splitlines()[-1])["metrics"]
+    forget_run_files(workload)
     return {name: metric["value"] for name, metric in metrics.items()
             if metric["unit"] == "count"}
 

@@ -210,10 +210,9 @@ def build_parser() -> argparse.ArgumentParser:
                                "runs with the same --output reuse their cache)")
     campaign.add_argument("--cache-budget-mb", type=_positive_float, default=None,
                           help="size budget for the build cache, enforced on the "
-                               "live cache after every round and again before the "
-                               "journal persist; least-recently-hit entries are "
-                               "evicted first (the journal auto-compacts once "
-                               "tombstones outnumber live entries)")
+                               "live cache after every round and again before it "
+                               "is persisted; entries no other experiment reused "
+                               "are evicted first, least recently hit first")
     campaign.add_argument("--no-cache", action="store_true",
                           help="disable the content-addressed build cache "
                                "entirely (cold-path debugging: every build is "
@@ -238,17 +237,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     cache_stats = subparsers.add_parser(
         "cache-stats",
-        help="inspect a persisted build-cache journal (hit rate, shared "
-             "hits, journal size)",
+        help="inspect a persisted build cache (hit rate, shared hits, "
+             "persisted size)",
     )
     cache_stats.add_argument("--cache-dir", required=True,
                              help="directory holding a persisted common storage "
                                   "(the --output of a previous campaign run)")
-    cache_stats.add_argument("--compact", action="store_true",
-                             help="rewrite the journal from its live state "
-                                  "(drops tombstones, superseded records and "
-                                  "orphaned artifact payloads) and persist it "
-                                  "back to --cache-dir")
     cache_stats.set_defaults(handler=_cmd_cache_stats)
 
     history = subparsers.add_parser(
@@ -552,7 +546,7 @@ def _cmd_campaign(arguments: argparse.Namespace) -> int:
         )
     if arguments.cache_budget_mb is not None:
         if not arguments.output:
-            # The budget also caps the persisted journal; without --output
+            # The budget also caps the persisted cache; without --output
             # nothing is persisted, so honour the historical contract of
             # requiring one instead of silently applying half the flag.
             raise ReproError("--cache-budget-mb requires --output")
@@ -603,7 +597,7 @@ def _cmd_campaign(arguments: argparse.Namespace) -> int:
     mount_history = spec.record_history is not False
     if cache_dir and os.path.isdir(cache_dir):
         # One load of only the namespaces restored below: the previous
-        # campaigns' build-cache journal, history ledger and tickets, never
+        # campaigns' build cache, history ledger and tickets, never
         # their accumulated run documents and report pages.
         namespaces = [InterventionStore.NAMESPACE]
         if warm_start:
@@ -669,7 +663,7 @@ def _cmd_campaign(arguments: argparse.Namespace) -> int:
         appended_entries = 0
         if spec.use_cache:
             # Persist before the pages render, so the campaign page can
-            # report the journal it will actually travel with.
+            # report the cache it will actually travel with.
             appended_entries = system.persist_build_cache(
                 max_bytes=spec.cache_budget_bytes
             )
@@ -744,17 +738,13 @@ def _cmd_cache_stats(arguments: argparse.Namespace) -> int:
             f"the storage has no {BuildCache.NAMESPACE!r} namespace"
         )
     cache = BuildCache.restore_from(storage, ArtifactStore())
-    if arguments.compact:
-        written = cache.compact(storage)
-        storage.persist(arguments.cache_dir)
-        print(f"compacted the journal to {written} entry record(s)")
     rows = (
         [{"quantity": "live cache entries", "value": len(cache)},
          {"quantity": "live cache bytes", "value": cache.total_size_bytes()}]
         + build_cache_rows(cache.statistics)
         + cache_journal_rows(BuildCache.journal_status(storage))
     )
-    print(f"build-cache journal below {arguments.cache_dir}")
+    print(f"build cache below {arguments.cache_dir}")
     print(format_table(
         ["quantity", "value"], [[row["quantity"], row["value"]] for row in rows]
     ))

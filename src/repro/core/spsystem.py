@@ -420,9 +420,9 @@ class SPSystem:
         worker count, any policy and any backend — and, thanks to replayed
         cache entries, for any warm-start state.
 
-        With ``spec.warm_start`` (the default), a build-cache journal
-        persisted in the common storage's ``buildcache`` namespace is
-        replayed before the first campaign of this installation, so a fresh
+        With ``spec.warm_start`` (the default), a build cache persisted in
+        the common storage's ``buildcache`` namespace is restored before
+        the first campaign of this installation, so a fresh
         ``SPSystem`` mounted on a loaded storage starts with the previous
         installation's cache; ``spec.use_cache=False`` disables the cache
         layer entirely (the cold-path debugging mode).  With
@@ -435,7 +435,7 @@ class SPSystem:
             spec.validate()
         if spec.use_cache and spec.warm_start and len(self.build_cache) == 0:
             # Installs the restored cache as self.build_cache (no-op probe
-            # when the storage carries no journal).  Must precede scheduler
+            # when the storage carries no cache).  Must precede scheduler
             # construction: the scheduler binds the cache by reference.
             with self.telemetry.tracer.span("cache_warm_start", category="journal"):
                 self.restore_build_cache(missing_ok=True)
@@ -668,65 +668,47 @@ class SPSystem:
 
     # -- build-cache persistence ---------------------------------------------------
     def persist_build_cache(self, max_bytes: Optional[int] = None) -> int:
-        """Append the build cache's changes to its journal in the common storage.
+        """Store the live build cache in the common storage.
 
-        The journal lives in the ``buildcache`` namespace, so a subsequent
+        The cache lives in the ``buildcache`` namespace, so a subsequent
         ``storage.persist(directory)`` carries it to disk alongside the run
         documents, and a fresh installation mounting the loaded storage (or
-        calling :meth:`restore_build_cache`) warm-starts by replaying it.
-        Persistence is incremental: only entries new since the last persist
-        are appended (plus one tombstone per eviction), so repeated
-        campaigns write O(new entries) documents.  With *max_bytes*,
-        least-recently-hit entries are evicted first so the live cache (and
-        therefore the journal's live state) stays within the size budget.
-        Returns the number of newly journalled entries.
+        calling :meth:`restore_build_cache`) warm-starts from it.  Only the
+        documents whose content changed are put, so repeated campaigns
+        write O(changed entries) documents.  With *max_bytes*,
+        least-recently-hit entries are evicted first so the persisted cache
+        stays within the size budget.  Returns the number of entries that
+        were not yet persisted.
         """
         cache = self.effective_build_cache()
         with self.telemetry.tracer.span("journal_persist", category="journal"):
-            appended = cache.persist_to(self.storage, max_bytes=max_bytes)
+            added = cache.persist_to(self.storage, max_bytes=max_bytes)
         self.telemetry.metrics.increment(
-            "journal_entries_persisted_total", amount=appended
+            "journal_entries_persisted_total", amount=added
         )
         self.telemetry.metrics.set_gauge(
             "journal_bytes", BuildCache.journal_status(self.storage).get("bytes", 0)
         )
-        return appended
-
-    def compact_build_cache(self, max_bytes: Optional[int] = None) -> int:
-        """Rewrite the build-cache journal from the live cache state.
-
-        Drops accumulated tombstones, superseded records and orphaned
-        artifact payloads; with *max_bytes* the live cache is brought under
-        the budget first.  Returns the number of entry records written.
-        """
-        cache = self.effective_build_cache()
-        with self.telemetry.tracer.span("journal_compact", category="journal"):
-            written = cache.compact(self.storage, max_bytes=max_bytes)
-        self.telemetry.metrics.increment("journal_compactions_total")
-        self.telemetry.metrics.set_gauge(
-            "journal_bytes", BuildCache.journal_status(self.storage).get("bytes", 0)
-        )
-        return written
+        return added
 
     def restore_build_cache(
         self,
         storage: Optional[CommonStorage] = None,
         missing_ok: bool = False,
     ) -> Optional[BuildCache]:
-        """Restore the build cache by replaying a persisted ``buildcache`` journal.
+        """Restore the build cache persisted in a ``buildcache`` namespace.
 
         Reads from *storage* (default: this installation's own common
-        storage), re-materialises the journal's tarballs into this
+        storage), re-materialises the cache's tarballs into this
         installation's :class:`ArtifactStore` and installs the restored
         cache as :attr:`build_cache`.  When restoring from a *foreign*
-        storage, the journal is also mounted (copied) into this
+        storage, the namespace is also mounted (copied) into this
         installation's own storage, so a subsequent
-        :meth:`persist_build_cache` appends to the inherited journal
-        instead of rewriting it from scratch — the source itself is never
-        modified.  Entries whose artifact digest cannot be materialised are
-        evicted on restore, and a corrupted trailing journal record is
-        dropped (everything before it is recovered).  Without a journal,
-        raises :class:`~repro._common.StorageError` — or returns None when
+        :meth:`persist_build_cache` puts only what changed since — the
+        source itself is never modified.  Entries whose artifact digest
+        cannot be materialised are evicted on restore, and a corrupted
+        entry document is skipped.  Without a persisted cache, raises
+        :class:`~repro._common.StorageError` — or returns None when
         *missing_ok* is set (the warm-start probe).
         """
         source = storage if storage is not None else self.storage
@@ -747,7 +729,8 @@ class SPSystem:
 
         Existing documents of the local namespace are dropped first, so the
         mounted copy exactly matches the source (a merge of two unrelated
-        journals would corrupt both).  The source is never modified.
+        history journals would corrupt both).  The source is never
+        modified.
         """
         namespace = self.storage.create_namespace(name)
         for key in namespace.keys():

@@ -13,7 +13,7 @@ Both kinds of record live in an
 :class:`~repro.storage.common_storage.AppendOnlyJournal` inside the
 ``history`` namespace of the common sp-system storage — the namespace is
 registered as journal-backed, so ``CommonStorage.persist`` batches the
-records into on-disk segment files and mirrors compactions.  Mounting a
+records into on-disk segment files and mirrors deletions.  Mounting a
 :class:`ValidationHistoryLedger` on a restored storage replays the journal
 and rebuilds the secondary indexes (by run, by campaign, by cell); ingestion
 is idempotent by record identity (run ID for validations, year/kind/subject

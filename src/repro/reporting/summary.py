@@ -247,18 +247,16 @@ def build_cache_rows(statistics) -> List[Dict[str, object]]:
 
 
 def cache_journal_rows(status: Dict[str, int]) -> List[Dict[str, object]]:
-    """Rows describing the persisted build-cache journal's size.
+    """Rows describing the size of the persisted build cache.
 
     *status* is the mapping :meth:`BuildCache.journal_status` returns
-    (``records``/``entries``/``tombstones``/``artifacts``/``bytes``), passed
-    as plain data so the reporting layer needs no scheduler import.
+    (``entries``/``artifacts``/``bytes``), passed as plain data so the
+    reporting layer needs no scheduler import.
     """
     return [
-        {"quantity": "cache journal records", "value": status.get("records", 0)},
-        {"quantity": "  entry records", "value": status.get("entries", 0)},
-        {"quantity": "  tombstone records", "value": status.get("tombstones", 0)},
+        {"quantity": "persisted cache entries", "value": status.get("entries", 0)},
         {"quantity": "cache artifact payloads", "value": status.get("artifacts", 0)},
-        {"quantity": "cache journal bytes", "value": status.get("bytes", 0)},
+        {"quantity": "persisted cache bytes", "value": status.get("bytes", 0)},
     ]
 
 

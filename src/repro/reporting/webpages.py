@@ -162,7 +162,7 @@ class StatusPageGenerator:
         so the links are live once the storage is persisted.  With
         *cache_journal* (the ``BuildCache.journal_status`` mapping, passed
         as plain data to keep this layer scheduler-free), the page also
-        reports the persisted journal's size.  With *history_link*, the
+        reports the persisted build cache's size.  With *history_link*, the
         page links to the validation-history trends page rendered by
         :meth:`trends_page`.  *deadline_seconds* overrides the schedule's
         own deadline for the late-cell marks and the met/missed verdict.
@@ -236,10 +236,8 @@ class StatusPageGenerator:
             ) + "</p>"
         if cache_journal is not None:
             cache_table += (
-                f"<p>persisted cache journal: {cache_journal.get('records', 0)} "
-                f"record(s) ({cache_journal.get('entries', 0)} entries, "
-                f"{cache_journal.get('tombstones', 0)} tombstones), "
-                f"{cache_journal.get('artifacts', 0)} artifact payload(s), "
+                f"<p>persisted build cache: {cache_journal.get('entries', 0)} "
+                f"entries, {cache_journal.get('artifacts', 0)} artifact payload(s), "
                 f"{cache_journal.get('bytes', 0):,} bytes</p>"
             )
         worker_rows = []

@@ -21,16 +21,16 @@ Cached tarballs live in the :class:`~repro.storage.artifacts.ArtifactStore`;
 an entry whose artifact has been removed or overwritten there is evicted on
 the next lookup instead of serving a dangling digest.
 
-The cache is also a resident of the common sp-system storage, persisted as
-an **append-only journal** in the ``buildcache`` namespace (via
-:class:`~repro.storage.common_storage.AppendOnlyJournal`): every
-:meth:`BuildCache.persist_to` appends one record per *new* entry and one
-tombstone per eviction since the last persist — repeated campaigns write
-O(new entries), not O(cache).  :meth:`BuildCache.restore_from` replays the
-journal (recovering cleanly from a corrupted trailing record), and
-:meth:`BuildCache.compact` rewrites the log from the live state, dropping
-tombstones and orphaned artifact payloads and optionally enforcing the
-``max_bytes`` budget.
+The cache is also a resident of the common sp-system storage.  Its
+``buildcache`` namespace holds the live cache and nothing else: one
+``cached_<key>`` document per entry, one ``artifact_<digest>`` document per
+tarball and the cumulative ``statistics``.  :meth:`BuildCache.persist_to`
+deletes every other document and puts only the documents whose content
+changed; ``CommonStorage.persist`` then writes only the files whose bytes
+changed, so repeated campaigns write O(changed entries), not O(cache).
+:meth:`BuildCache.restore_from` reads the documents back, skipping a
+corrupted one.  It also replays a namespace still in the earlier
+append-only journal layout, which the next persist rewrites in this one.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from repro.storage.artifacts import ArtifactStore
 from repro.storage.common_storage import (
     AppendOnlyJournal,
     CommonStorage,
-    register_journal_namespace,
+    register_mirrored_namespace,
 )
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 
@@ -226,7 +226,7 @@ class CacheStatistics:
         Missing or malformed fields (pre-journal snapshots, foreign tools,
         hand-edited files) degrade to zero/empty instead of failing the
         whole cache restore — statistics are bookkeeping, never worth
-        losing the journal over.
+        losing the cached entries over.
         """
         def as_count(value: object) -> int:
             try:
@@ -262,22 +262,21 @@ class BuildCache:
     #: Label under which cached tarballs are referenced in the artifact store.
     ARTIFACT_LABEL = "build-cache"
 
+    #: Common-storage namespace holding the persisted cache.  Registered as
+    #: mirrored, so ``CommonStorage.persist`` deletes the files of documents
+    #: a persist dropped (evicted entries, orphaned tarballs) and a later
+    #: load cannot resurrect them.
+    NAMESPACE = register_mirrored_namespace("buildcache")
     #: Key prefixes inside the namespace (storage keys must start with a
-    #: letter, so the journal sequence numbers and hex digests get a prefix).
-    JOURNAL_PREFIX = "journal_"
-
-    #: Common-storage namespace holding the persisted cache journal.
-    #: Registered as journal-backed so ``CommonStorage.persist`` mirrors it
-    #: (deleting on-disk files of records a compaction dropped) and batches
-    #: its records into on-disk segment files (O(segments) files, not one
-    #: per record).
-    NAMESPACE = register_journal_namespace("buildcache", JOURNAL_PREFIX)
+    #: letter, so the hex digests get a prefix).  ``artifact_`` sorts before
+    #: ``cached_``, so a persist writes an entry's tarball before the entry
+    #: and one cut short never leaves an entry without its tarball.
+    ENTRY_PREFIX = "cached_"
     ARTIFACT_PREFIX = "artifact_"
     STATISTICS_KEY = "statistics"
-    #: Monotonic per-journal write counter ({"epoch": n}), bumped by every
-    #: persist that appends or rewrites records; lets a cache detect cheaply
-    #: that another writer touched the journal since it last synced.
-    EPOCH_KEY = "lineage"
+    #: Record prefix of the earlier append-only journal layout.  Restore
+    #: replays such records; the next persist deletes them.
+    JOURNAL_PREFIX = "journal_"
     #: Entry prefix of the pre-journal wholesale-snapshot format.  Its keys
     #: predate the experiment-agnostic content digest and can never be hit
     #: again, so restore drops such documents (counted as evictions) and the
@@ -299,26 +298,6 @@ class BuildCache:
         # increasing tick, so eviction order is deterministic.
         self._recency: Dict[str, int] = {}
         self._tick = 0
-        # Journal bookkeeping: which entry keys are live in the persisted
-        # journal (and under which record sequence), so the next persist
-        # appends only the delta.  A restore that hit a corrupted trailing
-        # record (or evicted dangling entries) flags the journal for a full
-        # compaction rewrite on the next persist.
-        self._persisted: Dict[str, int] = {}
-        #: Shared-hit count each persisted record was journalled with; an
-        #: entry whose live count moved since is re-journalled (superseding
-        #: record) so donor-aware eviction survives a restore.
-        self._persisted_shared: Dict[str, int] = {}
-        self._journal_dirty = False
-        #: Tombstone records currently in the journal (restored or appended);
-        #: once they outnumber the live entries, persist auto-compacts.
-        self._journal_tombstones = 0
-        #: The namespace object and its write epoch at the last sync; when
-        #: both still match, persisting skips the full lineage scan, keeping
-        #: repeated persists O(new entries) — while a rewrite by *another*
-        #: cache into the same namespace bumps the epoch and forces the scan.
-        self._synced_namespace: Optional[object] = None
-        self._synced_epoch = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -384,8 +363,7 @@ class BuildCache:
     def clear(self) -> None:
         """Drop every entry (the statistics are kept).
 
-        Entries already persisted stay known to the journal bookkeeping, so
-        the next :meth:`persist_to` appends their tombstones.
+        The next :meth:`persist_to` deletes the dropped entries' documents.
         """
         self._entries.clear()
         self._recency.clear()
@@ -423,8 +401,8 @@ class BuildCache:
         the budget longest.  Ties in the recency stamps (possible only for
         entries never touched since a restore) fall back to the entry key,
         so eviction order is deterministic.  Returns the number of evicted
-        entries; evictions are counted in :attr:`statistics` and tombstoned
-        in the journal by the next :meth:`persist_to`.
+        entries; evictions are counted in :attr:`statistics`, and the next
+        :meth:`persist_to` deletes the evicted entries' documents.
         """
         if max_bytes < 0:
             raise StorageError("a cache size budget cannot be negative")
@@ -445,165 +423,53 @@ class BuildCache:
             evicted += 1
         return evicted
 
-    # -- cross-campaign persistence (append-only journal) ---------------------
+    # -- cross-campaign persistence -------------------------------------------
     def persist_to(
         self, storage: CommonStorage, max_bytes: Optional[int] = None
     ) -> int:
-        """Append the changes since the last persist to the journal.
+        """Make the ``buildcache`` namespace of *storage* hold the live cache.
 
-        One ``journal_<seq>`` record is appended per entry that is new since
-        the last persist, one tombstone record per entry evicted since, and
-        one superseding record per entry whose shared-hit count moved (so a
-        restored cache keeps its donor-aware eviction order) — existing
-        records are never rewritten, so repeated campaigns against the same
-        storage write O(changes) documents, not O(cache).
-        Tarball payloads travel alongside as content-addressed
-        ``artifact_<digest>`` documents; the cumulative statistics document
-        is replaced on every persist, so cross-campaign accounting survives
-        a restart.
+        The namespace gets one ``cached_<key>`` document per live entry (its
+        build result, donor experiment and shared-hit count, so a restored
+        cache keeps its donor-aware eviction order), one
+        ``artifact_<digest>`` document per tarball and the cumulative
+        ``statistics``, so cross-campaign accounting survives a restart.
+        Every other document is deleted, and only documents whose content
+        changed are put: a persist with nothing new puts nothing.
 
         With *max_bytes*, the live cache is first brought under the size
-        budget by evicting least-recently-hit entries (their tombstones are
-        part of the same persist).  A cache that has never synced with the
-        target journal — or whose last restore recovered from a corrupted
-        record — rewrites the journal wholesale instead; and once the
-        journal's tombstones would outnumber its live entries, the persist
-        auto-compacts (see :meth:`compact`), so churn under a tight budget
-        cannot grow the persisted journal without bound.  Returns the
-        number of newly journalled entries.
+        budget (see :meth:`enforce_budget`).  Returns the number of entries
+        that were not yet in the namespace.
         """
         if max_bytes is not None:
             self.enforce_budget(max_bytes)
-        namespace = storage.create_namespace(self.NAMESPACE)
         self._evict_dangling()
-        journal = AppendOnlyJournal(namespace, self.JOURNAL_PREFIX)
-        if self._journal_out_of_sync(namespace, journal):
-            # Either the journal needs repair after a corrupted-record
-            # recovery, or it belongs to a different cache lineage than this
-            # instance (a never-synced cache, or a persist into a storage
-            # other than the one restored from): the live state is
-            # authoritative, rewrite from it.
-            return self._rewrite_journal(namespace)
-        pending_tombstones = set(self._persisted) - set(self._entries)
-        if self._journal_tombstones + len(pending_tombstones) > len(self._entries):
-            # Auto-compaction: more dead records than live ones — rewriting
-            # is cheaper than letting the journal grow with history.
-            return self._rewrite_journal(namespace)
-        appended = 0
-        for key in sorted(pending_tombstones):
-            journal.append({"type": "tombstone", "cache_key": key})
-            del self._persisted[key]
-            self._persisted_shared.pop(key, None)
-            self._journal_tombstones += 1
-        for key in sorted(set(self._entries) - set(self._persisted)):
-            entry = self._entries[key]
-            self._persisted[key] = journal.append(self._entry_record(key, entry))
-            self._persisted_shared[key] = self._shared_counts.get(key, 0)
-            self._persist_artifact(namespace, entry)
-            appended += 1
-        superseded = 0
-        for key in sorted(set(self._entries) & set(self._persisted)):
-            # An already-journalled entry whose shared-hit count moved since
-            # (a cross-experiment donation happened after its record was
-            # written) is re-journalled: the later record supersedes the
-            # earlier one on replay, so a restored cache's donor-aware
-            # eviction still knows its proven donors.
-            if self._shared_counts.get(key, 0) == self._persisted_shared.get(key, 0):
+        namespace = storage.create_namespace(self.NAMESPACE)
+        documents: Dict[str, object] = {
+            self.STATISTICS_KEY: self.statistics.as_dict()
+        }
+        for key, entry in self._entries.items():
+            documents[f"{self.ENTRY_PREFIX}{key}"] = self._entry_record(key, entry)
+            if entry.tarball is not None:
+                documents[f"{self.ARTIFACT_PREFIX}{entry.tarball.digest}"] = (
+                    entry.tarball.to_dict()
+                )
+        for key in namespace.keys():
+            if key not in documents:
+                namespace.delete(key)
+        added = 0
+        for key, document in documents.items():
+            if not namespace.exists(key):
+                added += key.startswith(self.ENTRY_PREFIX)
+            elif namespace.get(key) == document:
                 continue
-            self._persisted[key] = journal.append(
-                self._entry_record(key, self._entries[key])
-            )
-            self._persisted_shared[key] = self._shared_counts.get(key, 0)
-            superseded += 1
-        namespace.put(self.STATISTICS_KEY, self.statistics.as_dict())
-        self._mark_synced(
-            namespace, changed=bool(pending_tombstones or appended or superseded)
-        )
-        return appended
-
-    def compact(
-        self, storage: CommonStorage, max_bytes: Optional[int] = None
-    ) -> int:
-        """Rewrite the journal from the live state.
-
-        Compaction drops every tombstone, every superseded record and every
-        orphaned artifact payload, leaving exactly one entry record per live
-        cache entry — the operation that keeps a long-lived journal's size
-        proportional to the cache instead of its history.  With *max_bytes*,
-        the live cache is brought under the budget first, so the rewritten
-        journal fits it too.  Returns the number of entry records written.
-        """
-        if max_bytes is not None:
-            self.enforce_budget(max_bytes)
-        namespace = storage.create_namespace(self.NAMESPACE)
-        self._evict_dangling()
-        return self._rewrite_journal(namespace)
-
-    @classmethod
-    def _journal_epoch(cls, namespace) -> int:
-        """The journal's write counter (0 for a fresh or foreign journal)."""
-        if not namespace.exists(cls.EPOCH_KEY):
-            return 0
-        document = namespace.get(cls.EPOCH_KEY)
-        if not isinstance(document, dict):
-            return 0
-        try:
-            return int(document.get("epoch", 0))  # type: ignore[arg-type]
-        except (TypeError, ValueError):
-            return 0
-
-    def _mark_synced(self, namespace, changed: bool = True) -> None:
-        """Remember the journal's epoch, bumped first if *changed*.
-
-        A persist that appended no record leaves the epoch as it is, so
-        it writes no lineage document either.
-        """
-        epoch = self._journal_epoch(namespace)
-        if changed:
-            epoch += 1
-            namespace.put(self.EPOCH_KEY, {"epoch": epoch})
-        self._synced_namespace = namespace
-        self._synced_epoch = epoch
-
-    def _journal_out_of_sync(
-        self, namespace, journal: AppendOnlyJournal
-    ) -> bool:
-        """True when appending to this journal would be unsafe."""
-        if self._journal_dirty:
-            return True
-        if (
-            namespace is self._synced_namespace
-            and self._journal_epoch(namespace) == self._synced_epoch
-        ):
-            # Same namespace object AND nobody else wrote to it since this
-            # cache last synced: the full lineage scan below is redundant,
-            # repeated persists stay O(new entries).
-            return False
-        if not self._persisted:
-            # Never synced: any existing records belong to someone else.
-            return len(journal) > 0
-        # A new target namespace: every record this cache believes it wrote
-        # must be there AND carry the expected cache key — bare existence is
-        # not enough, since a different storage's journal can overlap in
-        # sequence numbers.
-        for key, sequence in self._persisted.items():
-            record_key = journal.key_for(sequence)
-            if not namespace.exists(record_key):
-                return True
-            document = namespace.get(record_key)
-            if (
-                not isinstance(document, dict)
-                or document.get("type") != "entry"
-                or document.get("cache_key") != key
-            ):
-                return True
-        return False
+            namespace.put(key, document)
+        return added
 
     def _evict_dangling(self) -> None:
         """Evict entries whose artifact vanished from the store.
 
-        Persisting them would journal dangling digests; evicting makes them
-        tombstones (or keeps them out of the rewrite) instead.
+        Persisting them would store dangling digests.
         """
         for key in [
             key
@@ -614,65 +480,34 @@ class BuildCache:
 
     def _entry_record(self, key: str, entry: BuildResult) -> Dict[str, object]:
         return {
-            "type": "entry",
             "cache_key": key,
             "stored_by": self._owners.get(key, ""),
-            # Shared-hit count at journalling time, so a restored cache's
-            # donor-aware eviction still knows its proven donors.
             "shared_hits": self._shared_counts.get(key, 0),
             "result": entry.to_dict(),
         }
-
-    def _persist_artifact(self, namespace, entry: BuildResult) -> None:
-        if entry.tarball is not None:
-            namespace.put(
-                f"{self.ARTIFACT_PREFIX}{entry.tarball.digest}",
-                entry.tarball.to_dict(),
-            )
-
-    def _rewrite_journal(self, namespace) -> int:
-        journal = AppendOnlyJournal(namespace, self.JOURNAL_PREFIX)
-        journal.clear()
-        for key in namespace.keys(prefix=self.ARTIFACT_PREFIX):
-            namespace.delete(key)
-        for key in namespace.keys(prefix=self.LEGACY_ENTRY_PREFIX):
-            # Pre-journal snapshot documents: superseded by the rewrite.
-            namespace.delete(key)
-        self._persisted = {}
-        self._persisted_shared = {}
-        written = 0
-        for key in sorted(self._entries):
-            entry = self._entries[key]
-            self._persisted[key] = journal.append(self._entry_record(key, entry))
-            self._persisted_shared[key] = self._shared_counts.get(key, 0)
-            self._persist_artifact(namespace, entry)
-            written += 1
-        namespace.put(self.STATISTICS_KEY, self.statistics.as_dict())
-        self._journal_dirty = False
-        self._journal_tombstones = 0
-        self._mark_synced(namespace)
-        return written
 
     @classmethod
     def restore_from(
         cls, storage: CommonStorage, artifact_store: Optional[ArtifactStore] = None
     ) -> "BuildCache":
-        """Warm-start a cache by replaying a journal written by :meth:`persist_to`.
+        """Warm-start a cache from the documents :meth:`persist_to` wrote.
 
-        Records are replayed in append order: entry records install (or
-        supersede) an entry, tombstones remove it.  A corrupted record is
-        skipped — safe for a content-addressed cache, where an entry can at
-        worst be lost (a rebuild) or resurrected (it is never wrong) — and
-        the restored cache rewrites the repaired journal on its next
-        persist.  Tarballs travelling with the journal are re-materialised
-        into *artifact_store*; an entry whose artifact digest is neither
-        already present in the store nor part of the journal is evicted on
+        Each ``cached_<key>`` document installs one entry.  A corrupted one
+        is skipped — safe for a content-addressed cache, where an entry can
+        at worst be lost (a rebuild), never be wrong.  A namespace in the
+        earlier append-only layout is replayed first: its ``journal_*``
+        records in append order, where an entry record installs (or
+        supersedes) an entry and a tombstone removes it.
+
+        Tarballs travelling with the cache are re-materialised into
+        *artifact_store*.  An entry whose tarball is neither already in the
+        store nor a readable ``artifact_<digest>`` document is evicted on
         restore (and counted in ``statistics.evictions``).  Entries of a
         pre-journal snapshot (the retired wholesale format) are dropped as
-        evictions: their keys predate the experiment-agnostic digest and
-        could never be hit again.  The source *storage* is never modified —
-        it may belong to another live installation.  A storage without a
-        ``buildcache`` namespace restores to an empty cache.
+        evictions too: their keys predate the experiment-agnostic digest
+        and could never be hit again.  The source *storage* is never
+        modified — it may belong to another live installation.  A storage
+        without a ``buildcache`` namespace restores to an empty cache.
         """
         cache = cls(artifact_store)
         if cls.NAMESPACE not in storage.namespaces():
@@ -682,118 +517,84 @@ class BuildCache:
             cache.statistics = CacheStatistics.from_dict(
                 namespace.get(cls.STATISTICS_KEY)  # type: ignore[arg-type]
             )
+        cache.statistics.evictions += len(
+            namespace.keys(prefix=cls.LEGACY_ENTRY_PREFIX)
+        )
+        live: Dict[str, Tuple[str, int, BuildResult]] = {}
+        # The earlier journal layout, replayed in append order; documents of
+        # the live layout (written by a later, possibly interrupted, persist)
+        # take precedence.
         journal = AppendOnlyJournal(namespace, cls.JOURNAL_PREFIX)
-        live: Dict[str, Tuple[int, str, int, BuildResult]] = {}
-        for _key in namespace.keys(prefix=cls.LEGACY_ENTRY_PREFIX):
-            # Pre-journal wholesale snapshot: its entries are keyed by the
-            # retired pre-content-addressing digest, so they could never be
-            # hit again — drop them as evictions; the dirty flag makes the
-            # next persist delete the dead documents.
-            cache.statistics.evictions += 1
-            cache._journal_dirty = True
-        for sequence, document in journal.records():
-            record = cls._parse_journal_record(document)
-            if record is None:
-                # Corrupted record: skip it and keep replaying — benign for
-                # a content-addressed cache (an entry can at worst be lost,
-                # costing a rebuild, or resurrected — it is never wrong) —
-                # and repair the journal on the next persist.
-                cache._journal_dirty = True
-                continue
-            kind, key, stored_by, shared_hits, result = record
+        for _sequence, document in journal.records():
+            kind = document.get("type") if isinstance(document, dict) else None
             if kind == "tombstone":
-                live.pop(key, None)
-                cache._journal_tombstones += 1
-            else:
-                live[key] = (sequence, stored_by, shared_hits, result)
+                live.pop(str(document.get("cache_key")), None)  # type: ignore[union-attr]
+            elif kind == "entry":
+                cls._install_record(live, document)
+        for key in namespace.keys(prefix=cls.ENTRY_PREFIX):
+            cls._install_record(live, namespace.get(key))
         for key in sorted(live):
-            sequence, stored_by, shared_hits, result = live[key]
+            stored_by, shared_hits, result = live[key]
             if not cache._materialise_artifact(result, namespace):
                 cache.statistics.evictions += 1
-                # The dangling record stays in the journal; flag it for the
-                # next persist's compaction rewrite instead of re-evicting
-                # it on every future restore.
-                cache._journal_dirty = True
                 continue
             cache._entries[key] = result
             if stored_by:
                 cache._owners[key] = stored_by
             if shared_hits:
                 cache._shared_counts[key] = shared_hits
-            cache._persisted[key] = sequence
-            cache._persisted_shared[key] = shared_hits
-        # Restore never mutates the source, so remember its epoch as-is: a
-        # later persist into the same namespace fast-paths only while no
-        # other writer has bumped it.
-        cache._synced_namespace = namespace
-        cache._synced_epoch = cache._journal_epoch(namespace)
         return cache
 
     @staticmethod
-    def _parse_journal_record(
-        document: object,
-    ) -> Optional[Tuple[str, str, str, int, Optional[BuildResult]]]:
-        """Decode one journal record, or None if it is corrupted."""
+    def _install_record(
+        live: Dict[str, Tuple[str, int, BuildResult]], document: object
+    ) -> None:
+        """Decode one entry record into *live*; skip it if it is corrupted."""
         if not isinstance(document, dict):
-            return None
+            return
         try:
-            kind = document["type"]
             key = str(document["cache_key"])
-            if kind == "tombstone":
-                return ("tombstone", key, "", 0, None)
-            if kind != "entry":
-                return None
-            stored_by = str(document.get("stored_by", ""))
-            try:
-                # Pre-donor-aware records lack the count; degrade to zero.
-                shared_hits = int(document.get("shared_hits", 0))
-            except (TypeError, ValueError):
-                shared_hits = 0
             result = BuildResult.from_dict(document["result"])
         except (KeyError, TypeError, ValueError, AttributeError):
-            return None
-        return ("entry", key, stored_by, shared_hits, result)
+            return
+        try:
+            # Pre-donor-aware records lack the count; degrade to zero.
+            shared_hits = int(document.get("shared_hits", 0))
+        except (TypeError, ValueError):
+            shared_hits = 0
+        live[key] = (str(document.get("stored_by", "")), shared_hits, result)
 
     @classmethod
     def journal_status(cls, storage: CommonStorage) -> Dict[str, int]:
-        """Size and composition of the persisted journal in *storage*.
+        """Size of the build cache persisted in *storage*.
 
-        Returns record counts (total / entry / tombstone), the number of
-        artifact payload documents and the summed JSON footprint in bytes —
-        the numbers the status pages and ``cache-stats`` CLI report, and the
-        signal that a compaction is due (tombstones piling up).  The byte
-        accounting re-serialises every document, so the call is O(journal);
-        the CLI invokes it once per run, right before ``storage.persist``
-        does strictly more serialisation work anyway.
+        Returns the number of entry documents, the number of artifact
+        payload documents and the summed JSON footprint in bytes of every
+        document in the namespace — the numbers the status pages and the
+        ``cache-stats`` CLI report.  The byte accounting re-serialises every
+        document, so the call is O(cache); the CLI invokes it once per run,
+        right before ``storage.persist`` does strictly more serialisation
+        work anyway.
         """
-        status = {"records": 0, "entries": 0, "tombstones": 0, "artifacts": 0,
-                  "bytes": 0}
+        status = {"entries": 0, "artifacts": 0, "bytes": 0}
         if cls.NAMESPACE not in storage.namespaces():
             return status
-        namespace = storage.namespace(cls.NAMESPACE)
-        journal = AppendOnlyJournal(namespace, cls.JOURNAL_PREFIX)
-        for _sequence, document in journal.records():
-            status["records"] += 1
-            kind = document.get("type") if isinstance(document, dict) else None
-            if kind == "tombstone":
-                status["tombstones"] += 1
-            elif kind == "entry":
+        for key, document in storage.namespace(cls.NAMESPACE).items():
+            if key.startswith(cls.ENTRY_PREFIX):
                 status["entries"] += 1
+            elif key.startswith(cls.ARTIFACT_PREFIX):
+                status["artifacts"] += 1
             status["bytes"] += len(
                 json.dumps(document, sort_keys=True).encode("utf-8")
-            )
-        for key in namespace.keys(prefix=cls.ARTIFACT_PREFIX):
-            status["artifacts"] += 1
-            status["bytes"] += len(
-                json.dumps(namespace.get(key), sort_keys=True).encode("utf-8")
             )
         return status
 
     def _materialise_artifact(self, entry: BuildResult, namespace) -> bool:
         """Ensure the entry's tarball exists in the artifact store.
 
-        Returns False when the digest can no longer be materialised — the
-        restore-time equivalent of the lookup-time eviction.
+        Returns False when the digest can no longer be materialised — no
+        ``artifact_<digest>`` document, or one that does not hold that
+        tarball — the restore-time equivalent of the lookup-time eviction.
         """
         if entry.tarball is None:
             return True
@@ -806,7 +607,12 @@ class BuildCache:
         artifact_key = f"{self.ARTIFACT_PREFIX}{entry.tarball.digest}"
         if not namespace.exists(artifact_key):
             return False
-        tarball = Tarball.from_dict(namespace.get(artifact_key))
+        try:
+            tarball = Tarball.from_dict(namespace.get(artifact_key))
+        except (KeyError, TypeError, ValueError, AttributeError):
+            return False
+        if tarball.digest != entry.tarball.digest:
+            return False
         self.artifact_store.store(tarball, label=self.ARTIFACT_LABEL)
         return True
 

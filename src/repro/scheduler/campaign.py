@@ -186,7 +186,7 @@ class CampaignScheduler:
         self.deadline_seconds = deadline_seconds
         self.backend = execution_backend(backend)
         #: Live in-memory budget, enforced after every campaign round (the
-        #: same budget the persisted journal is compacted under).
+        #: same budget the persisted cache is held under).
         self.cache_budget_bytes = cache_budget_bytes
         #: ``False`` runs the cold path: no cache layered over the builder.
         self.use_cache = use_cache
@@ -240,7 +240,7 @@ class CampaignScheduler:
         With a ``cache_budget_bytes``, the live cache is brought back under
         the budget after every round — not just at persist time — so a
         long-running multi-round campaign's memory footprint is bounded by
-        the same knob as its persisted journal.
+        the same knob as its persisted cache.
         """
         if rounds < 1:
             raise SchedulingError("a campaign needs at least one round")

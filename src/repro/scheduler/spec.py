@@ -114,7 +114,7 @@ class CampaignSpec:
     backend: str = "simulated"
     #: Worker failures injected into the campaign's simulated timeline.
     failures: Tuple[WorkerFailure, ...] = ()
-    #: Restore a persisted build-cache journal before the first campaign.
+    #: Restore a persisted build cache before the first campaign.
     warm_start: bool = True
     #: Layer the content-addressed build cache over the builder at all.
     #: ``False`` runs the cold path (every build compiled from scratch) —

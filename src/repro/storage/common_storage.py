@@ -27,13 +27,13 @@ DEFAULT_NAMESPACES = ("tests", "results", "tarballs", "recipes", "reports", "ima
 
 #: Namespaces persisted with *mirror* semantics: their on-disk directory is
 #: made to match the in-memory namespace exactly, deleting files of documents
-#: that no longer exist.  Journal-backed namespaces need this — a compaction
-#: deletes records, and a stale on-disk tail would resurrect them on the next
-#: load.  Every other namespace keeps the historical accumulate-only
+#: that no longer exist.  The build cache needs this — a persist deletes the
+#: documents of evicted entries, and a stale file would resurrect them on the
+#: next load.  Every other namespace keeps the historical accumulate-only
 #: behaviour (run documents of earlier campaigns survive a smaller re-run).
-#: Journal owners register themselves via :func:`register_mirrored_namespace`
-#: (e.g. the build cache registers its ``buildcache`` namespace), so the
-#: constant never drifts from the owner's namespace name.
+#: Owners register themselves via :func:`register_mirrored_namespace` (e.g.
+#: the build cache registers its ``buildcache`` namespace), so the constant
+#: never drifts from the owner's namespace name.
 MIRRORED_NAMESPACES = set()
 
 #: Journal-backed namespaces: name -> record key prefix.  Their journal
@@ -59,7 +59,7 @@ _TEMP_SUFFIX = ".tmp"
 
 
 def register_mirrored_namespace(name: str) -> str:
-    """Declare *name* journal-backed: :meth:`CommonStorage.persist` mirrors it.
+    """Declare that :meth:`CommonStorage.persist` mirrors namespace *name*.
 
     Returns *name*, so an owner can register its namespace constant inline.
     """
@@ -207,20 +207,20 @@ class CommonStorage:
 
         Namespaces named in *mirror_namespaces* (by default every namespace
         registered through :func:`register_mirrored_namespace` — e.g. the
-        journal-backed ``buildcache``) are persisted with mirror semantics:
+        build cache's ``buildcache``) are persisted with mirror semantics:
         leftover ``.json``/``.html`` files of documents that no longer
-        exist (e.g. journal records dropped by a compaction) are removed,
-        so a later :meth:`load` cannot resurrect them.  All other
-        namespaces accumulate: files persisted by earlier runs survive,
-        which is how repeated campaigns against one output directory keep
-        their combined run history browsable.
+        exist (e.g. the entry of an evicted build) are removed, so a later
+        :meth:`load` cannot resurrect them.  All other namespaces
+        accumulate: files persisted by earlier runs survive, which is how
+        repeated campaigns against one output directory keep their
+        combined run history browsable.
 
         Journal records of namespaces registered through
-        :func:`register_journal_namespace` (``buildcache``, ``history``) are
-        batched into segment files of :data:`JOURNAL_SEGMENT_RECORDS`
-        records each, so persisting a large journal writes O(segments)
-        files, not one per record; :meth:`load` explodes the segments back
-        into individual record documents.
+        :func:`register_journal_namespace` (``history``) are batched into
+        segment files of :data:`JOURNAL_SEGMENT_RECORDS` records each, so
+        persisting a large journal writes O(segments) files, not one per
+        record; :meth:`load` explodes the segments back into individual
+        record documents.
 
         Returns the paths of the files it wrote (new or changed), so a
         persist of an unchanged storage returns ``[]``.  Used by the
@@ -397,14 +397,13 @@ def _replace_file(path: str, data: bytes) -> None:
 class AppendOnlyJournal:
     """An append-only record log inside one storage namespace.
 
-    Incremental persistence (e.g. the build cache's ``buildcache`` journal)
-    writes one document per state change instead of rewriting a wholesale
-    snapshot.  Records live under zero-padded keys
+    Incremental persistence (e.g. the validation history's ``history``
+    journal) writes one document per state change instead of rewriting a
+    wholesale snapshot.  Records live under zero-padded keys
     ``<prefix><sequence:08d>``, so the namespace's lexicographic key order
     *is* the append order and a replay needs nothing beyond
     :meth:`StorageNamespace.keys`.  The journal never rewrites an existing
-    record — appending is the only mutation, apart from :meth:`clear`,
-    which compaction uses to rewrite the log from its live state.
+    record: appending is its only mutation.
     """
 
     #: Width of the zero-padded sequence number in the record keys.
@@ -462,12 +461,6 @@ class AppendOnlyJournal:
             (int(key[len(self.prefix):]), self.namespace.get(key))
             for key in self.keys()
         ]
-
-    def clear(self) -> None:
-        """Delete every record and restart the sequence (compaction rewrite)."""
-        for key in self.keys():
-            self.namespace.delete(key)
-        self._next_sequence = 1
 
 
 __all__ = [

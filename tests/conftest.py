@@ -124,3 +124,19 @@ def _file_states(directory, backdate=False):
 def file_states():
     """:func:`_file_states`, to see which files a persist wrote."""
     return _file_states
+
+
+@pytest.fixture()
+def puts(monkeypatch):
+    """``namespace/key`` of every ``StorageNamespace.put`` from here on."""
+    from repro.storage.common_storage import StorageNamespace
+
+    recorded = []
+    put = StorageNamespace.put
+
+    def recording_put(self, key, document, overwrite=True):
+        recorded.append(f"{self.name}/{key}")
+        put(self, key, document, overwrite=overwrite)
+
+    monkeypatch.setattr(StorageNamespace, "put", recording_put)
+    return recorded

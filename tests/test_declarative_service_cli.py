@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shutil
 
 import pytest
@@ -429,29 +430,35 @@ class TestCommandLineInterface:
         output = capsys.readouterr().out
         assert "live cache entries" in output
         assert "build cache shared hits (cross-experiment)" in output
-        assert "cache journal records" in output
-        assert "tombstone records" in output
+        assert "persisted cache entries" in output
+        assert "cache artifact payloads" in output
 
     def test_cache_stats_without_journal_fails_cleanly(self, tmp_path, capsys):
         assert cli_main(["cache-stats", "--cache-dir", str(tmp_path)]) == 2
         assert "no persisted build cache" in capsys.readouterr().err
 
-    def test_cache_stats_compact_rewrites_on_disk(self, tmp_path, capsys):
+    def test_a_malformed_artifact_document_costs_only_its_entry(
+        self, tmp_path, capsys
+    ):
+        """An artifact file that is JSON but not a tarball evicts its entry;
+        cache-stats and the warm start carry on with the other entries."""
         output_dir = tmp_path / "storage"
         assert cli_main([
             "campaign", "--scale", "0.1", "--output", str(output_dir),
         ]) == 0
-        capsys.readouterr()
-        assert cli_main([
-            "cache-stats", "--cache-dir", str(output_dir), "--compact",
-        ]) == 0
-        output = capsys.readouterr().out
-        assert "compacted the journal" in output
-        # The compacted journal on disk still warm-starts the next campaign.
+        entries = int(re.search(
+            r"\((\d+) new build-cache journal records", capsys.readouterr().out
+        ).group(1))
+        artifact = sorted((output_dir / "buildcache").glob("artifact_*.json"))[0]
+        artifact.write_text(json.dumps({"digest": "x"}))
+        assert cli_main(["cache-stats", "--cache-dir", str(output_dir)]) == 0
+        stats = capsys.readouterr().out
+        assert re.search(rf"live cache entries\s+{entries - 1}\b", stats)
         assert cli_main([
             "campaign", "--scale", "0.1", "--output", str(output_dir),
         ]) == 0
-        assert "warm-started build cache" in capsys.readouterr().out
+        assert (f"warm-started build cache: {entries - 1} entries"
+                in capsys.readouterr().out)
 
 
 class TestHistoryCli:

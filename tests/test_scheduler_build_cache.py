@@ -3,8 +3,8 @@
 Covers hit/miss accounting, sensitivity of the cache key to compiler, OS and
 external-software changes in the environment configuration (including changes
 that do NOT alter ``configuration.key``), eviction when a cached artifact
-is removed or overwritten in the :class:`ArtifactStore`, and the journal's
-lineage epoch, which only a persist that journals a record moves.
+is removed or overwritten in the :class:`ArtifactStore`, and a persist
+that puts only the documents whose content changed.
 """
 
 from dataclasses import replace
@@ -264,12 +264,8 @@ class TestSystemLevelCache:
         ]
 
 
-def _epoch(storage):
-    return storage.get(BuildCache.NAMESPACE, BuildCache.EPOCH_KEY)["epoch"]
-
-
-class TestJournalLineageEpoch:
-    """The ``buildcache/lineage`` epoch moves only with the journal, so a
+class TestPersistPutsOnlyChanges:
+    """A persist puts exactly the documents whose content changed, so a
     persist with nothing to record leaves the files on disk alone."""
 
     @staticmethod
@@ -283,14 +279,6 @@ class TestJournalLineageEpoch:
         cache.persist_to(storage)
         return cache
 
-    def test_persist_with_nothing_to_record_keeps_the_epoch(
-        self, inventory, sl5_64_gcc44
-    ):
-        storage = CommonStorage()
-        cache = self._persisted(inventory.all(), sl5_64_gcc44, storage)
-        assert cache.persist_to(storage) == 0
-        assert _epoch(storage) == 1
-
     def test_restored_cache_persisted_back_unchanged_writes_no_file(
         self, inventory, sl5_64_gcc44, tmp_path
     ):
@@ -303,39 +291,36 @@ class TestJournalLineageEpoch:
         assert loaded.persist(str(tmp_path)) == []
 
     @pytest.mark.parametrize("change", ["new_entry", "eviction", "shared_hit"])
-    def test_a_persist_that_journals_a_record_bumps_the_epoch(
-        self, inventory, sl5_64_gcc44, change
+    def test_a_persist_puts_only_the_changed_documents(
+        self, inventory, sl5_64_gcc44, change, puts
     ):
         packages = inventory.all()
         storage = CommonStorage()
         cache = self._persisted(packages[1:], sl5_64_gcc44, storage)
+
+        def put(key):
+            return f"{BuildCache.NAMESPACE}/{key}"
+
+        # The statistics move with every change.
+        expected = [put(BuildCache.STATISTICS_KEY)]
         if change == "new_entry":
-            cache.store(
-                packages[0], sl5_64_gcc44,
-                PackageBuilder().build_package(packages[0], sl5_64_gcc44),
-            )
+            result = PackageBuilder().build_package(packages[0], sl5_64_gcc44)
+            cache.store(packages[0], sl5_64_gcc44, result)
+            expected += [
+                put(BuildCache.ENTRY_PREFIX
+                    + package_identity_digest(packages[0], sl5_64_gcc44)),
+                put(BuildCache.ARTIFACT_PREFIX + result.tarball.digest),
+            ]
         elif change == "eviction":
             assert cache.enforce_budget(cache.total_size_bytes() - 1) == 1
-        else:  # a hit served to another experiment re-journals its donor
+        else:  # a hit served to another experiment moves its donor count
             borrower = replace(packages[1], experiment="OTHEREXP")
             assert cache.lookup(borrower, sl5_64_gcc44) is not None
-        records = BuildCache.journal_status(storage)["records"]
+            expected.append(put(
+                BuildCache.ENTRY_PREFIX
+                + package_identity_digest(packages[1], sl5_64_gcc44)
+            ))
+        puts.clear()
         cache.persist_to(storage)
-        assert BuildCache.journal_status(storage)["records"] == records + 1
-        assert _epoch(storage) == 2
-
-    def test_foreign_rewrite_is_detected_after_an_unchanged_persist(
-        self, inventory, sl5_64_gcc44
-    ):
-        packages = inventory.all()
-        storage = CommonStorage()
-        cache_a = self._persisted(packages[:2], sl5_64_gcc44, storage)
-        cache_a.persist_to(storage)  # nothing to record: epoch stays 1
-        self._persisted(packages[2:3], sl5_64_gcc44, storage)  # rewrites
-        # A has nothing new, yet must see the rewrite and restore its own
-        # live state instead of leaving the other cache's journal in place.
-        cache_a.persist_to(storage)
-        assert _epoch(storage) == 3
-        restored = BuildCache.restore_from(storage, ArtifactStore())
-        assert [restored.contains(package, sl5_64_gcc44)
-                for package in packages[:3]] == [True, True, False]
+        assert sorted(puts) == sorted(expected)
+        assert BuildCache.journal_status(storage)["entries"] == len(cache)

@@ -1,14 +1,19 @@
 """Tests for cross-campaign persistence of the build cache.
 
-The cache is a resident of the common sp-system storage, persisted as an
-append-only journal in the ``buildcache`` namespace: ``persist_to`` appends
-one record per new entry and one tombstone per eviction (repeated campaigns
-write O(new entries), not O(cache)), ``restore_from`` replays the journal —
-recovering cleanly from a corrupted trailing record — and ``compact``
-rewrites the log from the live state under an optional size budget.  A fresh
-:class:`SPSystem` mounted on the persisted state warm-starts its first
-campaign with cache hits while producing bit-identical run documents.
+The cache is a resident of the common sp-system storage: ``persist_to``
+makes the ``buildcache`` namespace hold the live cache and nothing else
+(one document per entry, one per tarball, the statistics) and puts only the
+documents whose content changed, so repeated campaigns write O(new entries),
+not O(cache).  ``restore_from`` reads the documents back, skipping a
+corrupted one, and still replays a namespace in the earlier append-only
+journal layout.  A fresh :class:`SPSystem` mounted on the persisted state
+warm-starts its first campaign with cache hits while producing
+bit-identical run documents.
 """
+
+import json
+import os
+from dataclasses import replace
 
 import pytest
 
@@ -18,8 +23,13 @@ from repro.core.runner import RunnerSettings
 from repro.core.spsystem import SPSystem
 from repro.experiments import build_hermes_experiment
 from repro.experiments.inventories import InventoryQuirks, build_inventory
-from repro.scheduler.cache import BuildCache, CacheStatistics
+from repro.scheduler.cache import (
+    BuildCache,
+    CacheStatistics,
+    package_identity_digest,
+)
 from repro.scheduler.spec import CampaignSpec
+from repro.storage import common_storage
 from repro.storage.artifacts import ArtifactStore
 from repro.storage.common_storage import CommonStorage
 
@@ -207,7 +217,7 @@ class TestPersistRestore:
         self, inventory, sl5_64_gcc44
     ):
         """Statistics are bookkeeping; a damaged document must not lose the
-        journal's intact entries."""
+        cache's intact entries."""
         cache, _store = _populated_cache(inventory, sl5_64_gcc44)
         storage = CommonStorage()
         cache.persist_to(storage)
@@ -219,48 +229,63 @@ class TestPersistRestore:
             assert restored.statistics.hits == 0
 
 
-def _journal_keys(storage):
-    return storage.keys(BuildCache.NAMESPACE, prefix=BuildCache.JOURNAL_PREFIX)
+def _entry_keys(storage):
+    return storage.keys(BuildCache.NAMESPACE, prefix=BuildCache.ENTRY_PREFIX)
 
 
-def _journal_documents(storage):
-    namespace = storage.namespace(BuildCache.NAMESPACE)
-    return [namespace.get(key) for key in _journal_keys(storage)]
+def _artifact_keys(storage):
+    return storage.keys(BuildCache.NAMESPACE, prefix=BuildCache.ARTIFACT_PREFIX)
 
 
-class TestJournalAppendOnly:
-    """persist_to appends deltas; existing records are never rewritten."""
+def _live_documents(cache):
+    """The documents *cache* persists into an empty storage: one per entry
+    (result, donor, shared-hit count), one per tarball, the statistics."""
+    storage = CommonStorage()
+    cache.persist_to(storage)
+    return storage.namespace(BuildCache.NAMESPACE).items()
 
-    def test_first_persist_appends_one_record_per_entry(
+
+def _assert_restores_the_live_cache(cache, storage):
+    restored = BuildCache.restore_from(storage, ArtifactStore())
+    assert len(restored) == len(cache)
+    assert _live_documents(restored) == _live_documents(cache)
+    assert storage.namespace(BuildCache.NAMESPACE).items() == _live_documents(cache)
+
+
+class TestLiveLayout:
+    """persist_to makes the namespace hold the live cache and nothing else."""
+
+    def test_first_persist_writes_one_document_per_entry_and_tarball(
         self, inventory, sl5_64_gcc44
     ):
         cache, _store = _populated_cache(inventory, sl5_64_gcc44)
         storage = CommonStorage()
         assert cache.persist_to(storage) == len(cache)
-        documents = _journal_documents(storage)
-        assert len(documents) == len(cache)
-        assert all(document["type"] == "entry" for document in documents)
+        assert len(_entry_keys(storage)) == len(_artifact_keys(storage)) == len(cache)
+        assert storage.keys(BuildCache.NAMESPACE) == sorted(
+            _entry_keys(storage) + _artifact_keys(storage)
+            + [BuildCache.STATISTICS_KEY]
+        )
+        document = storage.get(BuildCache.NAMESPACE, _entry_keys(storage)[0])
+        assert sorted(document) == ["cache_key", "result", "shared_hits", "stored_by"]
 
-    def test_repersist_without_changes_appends_nothing(
-        self, inventory, sl5_64_gcc44
-    ):
+    def test_an_unchanged_persist_puts_nothing(self, inventory, sl5_64_gcc44, puts):
         cache, _store = _populated_cache(inventory, sl5_64_gcc44)
         storage = CommonStorage()
         cache.persist_to(storage)
-        before = storage.total_documents()
-        keys_before = _journal_keys(storage)
+        keys_before = storage.keys(BuildCache.NAMESPACE)
+        puts.clear()
         assert cache.persist_to(storage) == 0
-        assert storage.total_documents() == before
-        assert _journal_keys(storage) == keys_before
+        assert puts == []
+        assert storage.keys(BuildCache.NAMESPACE) == keys_before
 
-    def test_incremental_persist_appends_only_new_entries(
-        self, inventory, sl5_64_gcc44, sl6_64_gcc44
+    def test_incremental_persist_puts_only_new_entries(
+        self, inventory, sl5_64_gcc44, sl6_64_gcc44, puts
     ):
         cache, _store = _populated_cache(inventory, sl5_64_gcc44)
         storage = CommonStorage()
         cache.persist_to(storage)
-        keys_before = _journal_keys(storage)
-        documents_before = storage.total_documents()
+        keys_before = _entry_keys(storage)
         # A second campaign's worth of builds on another configuration.
         builder = PackageBuilder()
         new_packages = inventory.all()[:2]
@@ -269,70 +294,68 @@ class TestJournalAppendOnly:
                 package, sl6_64_gcc44,
                 builder.build_package(package, sl6_64_gcc44),
             )
+        puts.clear()
         assert cache.persist_to(storage) == len(new_packages)
-        keys_after = _journal_keys(storage)
-        # Strictly appended: the old records are byte-for-byte untouched.
-        assert keys_after[:len(keys_before)] == keys_before
-        assert len(keys_after) == len(keys_before) + len(new_packages)
+        new_keys = sorted(set(_entry_keys(storage)) - set(keys_before))
+        assert len(new_keys) == len(new_packages)
         # Only the new entries, their artifacts and the statistics changed.
-        assert (
-            storage.total_documents()
-            == documents_before + 2 * len(new_packages)
-        )
+        assert len(puts) == 2 * len(new_packages) + 1
+        assert {put.split("/")[1] for put in puts} >= set(new_keys) | {
+            BuildCache.STATISTICS_KEY
+        }
+        _assert_restores_the_live_cache(cache, storage)
 
-    def test_eviction_appends_tombstone(self, inventory, sl5_64_gcc44):
+    def test_eviction_deletes_the_entry_and_its_tarball(
+        self, inventory, sl5_64_gcc44
+    ):
         cache, store = _populated_cache(inventory, sl5_64_gcc44)
         storage = CommonStorage()
         cache.persist_to(storage)
-        records_before = len(_journal_keys(storage))
         victim = PackageBuilder().build_package(inventory.all()[0], sl5_64_gcc44)
         store.remove(victim.tarball.digest)
         assert cache.lookup(inventory.all()[0], sl5_64_gcc44) is None  # evicts
         assert cache.persist_to(storage) == 0
-        documents = _journal_documents(storage)
-        assert len(documents) == records_before + 1
-        victim_key = next(
-            document["cache_key"]
-            for document in documents
-            if document["type"] == "entry"
-            and document["result"]["package"]["name"] == inventory.all()[0].name
+        assert len(_entry_keys(storage)) == len(cache) == len(inventory.all()) - 1
+        assert (
+            f"{BuildCache.ARTIFACT_PREFIX}{victim.tarball.digest}"
+            not in _artifact_keys(storage)
         )
-        assert documents[-1] == {"type": "tombstone", "cache_key": victim_key}
         restored = BuildCache.restore_from(storage, ArtifactStore())
         assert len(restored) == len(cache)
         assert restored.lookup(inventory.all()[0], sl5_64_gcc44) is None
 
-    def test_clear_then_persist_auto_compacts_to_empty(
+    def test_clear_then_persist_leaves_only_the_statistics(
         self, inventory, sl5_64_gcc44
     ):
-        """Tombstoning everything trips auto-compaction: no dead journal."""
         cache, _store = _populated_cache(inventory, sl5_64_gcc44)
         storage = CommonStorage()
         cache.persist_to(storage)
         cache.clear()
         assert cache.persist_to(storage) == 0
-        assert _journal_documents(storage) == []
+        assert storage.keys(BuildCache.NAMESPACE) == [BuildCache.STATISTICS_KEY]
         restored = BuildCache.restore_from(storage, ArtifactStore())
         assert len(restored) == 0
 
-    def test_persist_auto_compacts_once_tombstones_outnumber_entries(
+    def test_churn_keeps_the_namespace_the_size_of_the_cache(
         self, inventory, sl5_64_gcc44
     ):
         cache, store = _populated_cache(inventory, sl5_64_gcc44)
         storage = CommonStorage()
         cache.persist_to(storage)
+        size = len(storage.namespace(BuildCache.NAMESPACE))
         builder = PackageBuilder()
-        # Evict all but one entry: more tombstones pending than live entries.
-        for package in inventory.all()[1:]:
+        package = inventory.all()[0]
+        for _churn in range(3):
             result = builder.build_package(package, sl5_64_gcc44)
             store.remove(result.tarball.digest)
             assert cache.lookup(package, sl5_64_gcc44) is None
-        assert cache.persist_to(storage) == len(cache)
-        status = BuildCache.journal_status(storage)
-        assert status["tombstones"] == 0
-        assert status["records"] == len(cache) == 1
+            cache.persist_to(storage)
+            cache.store(package, sl5_64_gcc44, result)
+            assert cache.persist_to(storage) == 1
+        assert len(storage.namespace(BuildCache.NAMESPACE)) == size
+        _assert_restores_the_live_cache(cache, storage)
 
-    def test_tombstoned_key_can_be_rejournalled(self, inventory, sl5_64_gcc44):
+    def test_evicted_key_can_be_persisted_again(self, inventory, sl5_64_gcc44):
         cache, store = _populated_cache(inventory, sl5_64_gcc44)
         storage = CommonStorage()
         cache.persist_to(storage)
@@ -340,7 +363,7 @@ class TestJournalAppendOnly:
         result = PackageBuilder().build_package(package, sl5_64_gcc44)
         store.remove(result.tarball.digest)
         assert cache.lookup(package, sl5_64_gcc44) is None
-        cache.persist_to(storage)  # tombstone
+        cache.persist_to(storage)  # deletes its document
         cache.store(package, sl5_64_gcc44, result)  # re-stored (new artifact)
         assert cache.persist_to(storage) == 1
         restored = BuildCache.restore_from(storage, ArtifactStore())
@@ -355,125 +378,92 @@ class TestJournalAppendOnly:
         cache.lookup(inventory.all()[0], sl5_64_gcc44)
         cache.persist_to(storage)
         status = BuildCache.journal_status(storage)
-        assert status["entries"] == len(inventory.all())
-        assert status["tombstones"] == 1
-        assert status["records"] == len(inventory.all()) + 1
-        assert status["artifacts"] == len(inventory.all())
+        assert status["entries"] == len(inventory.all()) - 1
+        assert status["artifacts"] == len(inventory.all()) - 1
         assert status["bytes"] > 0
         assert BuildCache.journal_status(CommonStorage()) == {
-            "records": 0, "entries": 0, "tombstones": 0, "artifacts": 0,
-            "bytes": 0,
+            "entries": 0, "artifacts": 0, "bytes": 0,
         }
 
-
-class TestJournalCompaction:
-    def test_compact_drops_tombstones_and_orphans(self, inventory, sl5_64_gcc44):
-        cache, store = _populated_cache(inventory, sl5_64_gcc44)
+    @pytest.mark.parametrize(
+        "change", ["new_entry", "eviction", "shared_hit", "budget", "clear", "none"]
+    )
+    def test_restore_equals_the_live_cache_after_any_persist(
+        self, inventory, sl5_64_gcc44, change
+    ):
+        packages = inventory.all()
+        cache = BuildCache(ArtifactStore())
+        builder = PackageBuilder()
+        for package in packages[1:]:
+            cache.store(
+                package, sl5_64_gcc44, builder.build_package(package, sl5_64_gcc44)
+            )
         storage = CommonStorage()
         cache.persist_to(storage)
-        victim = PackageBuilder().build_package(inventory.all()[0], sl5_64_gcc44)
-        store.remove(victim.tarball.digest)
-        cache.lookup(inventory.all()[0], sl5_64_gcc44)
+        if change == "new_entry":
+            cache.store(
+                packages[0], sl5_64_gcc44,
+                builder.build_package(packages[0], sl5_64_gcc44),
+            )
+        elif change == "eviction":
+            assert cache.enforce_budget(cache.total_size_bytes() - 1) == 1
+        elif change == "shared_hit":
+            borrower = replace(packages[1], experiment="OTHEREXP")
+            assert cache.lookup(borrower, sl5_64_gcc44) is not None
+        elif change == "budget":
+            cache.persist_to(storage, max_bytes=cache.total_size_bytes() // 2)
+        elif change == "clear":
+            cache.clear()
         cache.persist_to(storage)
-        assert BuildCache.journal_status(storage)["tombstones"] == 1
-        written = cache.compact(storage)
-        assert written == len(cache)
-        status = BuildCache.journal_status(storage)
-        assert status["records"] == len(cache)
-        assert status["tombstones"] == 0
-        # The evicted entry's artifact payload was orphaned and dropped.
-        assert status["artifacts"] == len(cache)
-        restored = BuildCache.restore_from(storage, ArtifactStore())
-        assert len(restored) == len(cache)
+        _assert_restores_the_live_cache(cache, storage)
 
-    def test_compact_under_budget(self, inventory, sl5_64_gcc44):
+
+class TestTwoWriters:
+    """Two caches persisting into one storage: the last writer's live state
+    wins wholesale, and nothing is merged."""
+
+    @staticmethod
+    def _cache(packages, configuration):
+        cache = BuildCache(ArtifactStore())
+        for package in packages:
+            cache.store(
+                package, configuration,
+                PackageBuilder().build_package(package, configuration),
+            )
+        return cache
+
+    def test_a_fresh_cache_replaces_another_caches_entries(
+        self, inventory, sl5_64_gcc44
+    ):
         cache, _store = _populated_cache(inventory, sl5_64_gcc44)
         storage = CommonStorage()
         cache.persist_to(storage)
-        budget = cache.total_size_bytes() // 2
-        written = cache.compact(storage, max_bytes=budget)
-        assert 0 < written < len(inventory.all())
-        assert written == len(cache)
-        assert cache.total_size_bytes() <= budget
-        status = BuildCache.journal_status(storage)
-        assert status["records"] == written
-        assert status["tombstones"] == 0
+        other = self._cache(inventory.all()[:1], sl5_64_gcc44)
+        assert other.persist_to(storage) == 0  # its entry was already there
+        assert BuildCache.journal_status(storage)["entries"] == 1
+        _assert_restores_the_live_cache(other, storage)
+
+    def test_the_first_writer_wins_back_with_its_next_persist(
+        self, inventory, sl5_64_gcc44
+    ):
+        packages = inventory.all()
+        storage = CommonStorage()
+        cache_a = self._cache(packages[:2], sl5_64_gcc44)
+        cache_a.persist_to(storage)
+        cache_a.persist_to(storage)  # nothing new
+        self._cache(packages[2:3], sl5_64_gcc44).persist_to(storage)
+        # A has nothing new, yet its persist restores its own live state
+        # instead of leaving the other cache's entries in place.
+        assert cache_a.persist_to(storage) == 2
+        _assert_restores_the_live_cache(cache_a, storage)
         restored = BuildCache.restore_from(storage, ArtifactStore())
-        assert len(restored) == written
-
-    def test_compaction_bounds_journal_growth(self, inventory, sl5_64_gcc44):
-        """Churn grows the journal without bound; compaction resets it."""
-        cache, store = _populated_cache(inventory, sl5_64_gcc44)
-        storage = CommonStorage()
-        cache.persist_to(storage)
-        builder = PackageBuilder()
-        package = inventory.all()[0]
-        for _churn in range(3):
-            result = builder.build_package(package, sl5_64_gcc44)
-            store.remove(result.tarball.digest)
-            assert cache.lookup(package, sl5_64_gcc44) is None
-            cache.persist_to(storage)
-            cache.store(package, sl5_64_gcc44, result)
-            cache.persist_to(storage)
-        churned = BuildCache.journal_status(storage)
-        assert churned["records"] > len(cache)
-        cache.compact(storage)
-        assert BuildCache.journal_status(storage)["records"] == len(cache)
-
-    def test_compaction_reaches_disk(self, inventory, sl5_64_gcc44, tmp_path):
-        """storage.persist mirrors the namespace: compacted-away journal
-        files are removed on disk, so a reload cannot resurrect evicted
-        entries from a stale tail."""
-        cache, _store = _populated_cache(inventory, sl5_64_gcc44)
-        storage = CommonStorage()
-        cache.persist_to(storage)
-        storage.persist(str(tmp_path))
-        budget = cache.total_size_bytes() // 2
-        survivors = cache.compact(storage, max_bytes=budget)
-        assert 0 < survivors < len(inventory.all())
-        storage.persist(str(tmp_path))
-        reloaded = CommonStorage.load(str(tmp_path))
-        assert BuildCache.journal_status(reloaded)["records"] == survivors
-        restored = BuildCache.restore_from(reloaded, ArtifactStore())
-        assert len(restored) == survivors
-        # Appends after the reload continue cleanly past the compacted log.
-        builder = PackageBuilder()
-        evicted = [
-            package for package in inventory.all()
-            if not cache.contains(package, sl5_64_gcc44)
-        ]
-        restored.store(
-            evicted[0], sl5_64_gcc44,
-            builder.build_package(evicted[0], sl5_64_gcc44),
-        )
-        assert restored.persist_to(reloaded) == 1
-        assert BuildCache.journal_status(reloaded)["records"] == survivors + 1
-
-    def test_fresh_cache_rewrites_foreign_journal(self, inventory, sl5_64_gcc44):
-        """A never-synced cache persisting over an existing journal replaces it."""
-        cache, _store = _populated_cache(inventory, sl5_64_gcc44)
-        storage = CommonStorage()
-        cache.persist_to(storage)
-        other = BuildCache(ArtifactStore())
-        builder = PackageBuilder()
-        package = inventory.all()[0]
-        other.store(package, sl5_64_gcc44, builder.build_package(package, sl5_64_gcc44))
-        assert other.persist_to(storage) == 1
-        status = BuildCache.journal_status(storage)
-        assert status["records"] == 1
-        restored = BuildCache.restore_from(storage, ArtifactStore())
-        assert len(restored) == 1
+        assert [restored.contains(package, sl5_64_gcc44)
+                for package in packages[:3]] == [True, True, False]
 
     def test_second_writer_rewrite_is_detected_by_the_first(
         self, inventory, sl5_64_gcc44
     ):
-        """Two caches persisting into one storage cannot corrupt each other.
-
-        Cache B's wholesale rewrite bumps the journal epoch, so cache A's
-        next persist must notice (despite its same-namespace fast path),
-        fall back to the lineage scan and rewrite from its own live state
-        instead of appending onto B's journal.
-        """
+        """Cache B replaces A's entries; A's next persist replaces B's."""
         storage = CommonStorage()
         builder = PackageBuilder()
         packages = inventory.all()
@@ -491,7 +481,7 @@ class TestJournalCompaction:
             packages[2], sl5_64_gcc44,
             builder.build_package(packages[2], sl5_64_gcc44),
         )
-        cache_b.persist_to(storage)  # never-synced writer: rewrites
+        cache_b.persist_to(storage)
 
         cache_a.store(
             packages[3], sl5_64_gcc44,
@@ -504,22 +494,14 @@ class TestJournalCompaction:
         for package in packages[:2] + [packages[3]]:
             assert restored.lookup(package, sl5_64_gcc44) is not None
 
-    def test_restored_cache_rewrites_a_foreign_overlapping_journal(
+    def test_restored_cache_replaces_a_foreign_storages_entries(
         self, inventory, sl5_64_gcc44
     ):
-        """Sequence overlap with a foreign journal does not fake 'in sync'.
-
-        A cache restored from storage A must not silently merge into
-        storage B's journal just because B happens to hold records at the
-        same sequence numbers: the persisted state must equal the live
-        cache, so the lineage check compares record content, not key
-        existence.
-        """
+        """A cache restored from storage A and persisted into storage B
+        leaves B holding exactly its own entries."""
         big_cache, _store = _populated_cache(inventory, sl5_64_gcc44)
         storage_b = CommonStorage()
-        big_cache.persist_to(storage_b)  # sequences 1..N
-
-        from dataclasses import replace
+        big_cache.persist_to(storage_b)
 
         donor = CommonStorage()
         small_cache = BuildCache(ArtifactStore())
@@ -529,12 +511,45 @@ class TestJournalCompaction:
             package, sl5_64_gcc44,
             PackageBuilder().build_package(package, sl5_64_gcc44),
         )
-        small_cache.persist_to(donor)  # sequence 1 — overlaps storage B's
+        small_cache.persist_to(donor)
         restored = BuildCache.restore_from(donor, ArtifactStore())
 
         restored.persist_to(storage_b)
         merged = BuildCache.restore_from(storage_b, ArtifactStore())
         assert len(merged) == len(restored) == 1
+
+
+class TestEvictionsReachDisk:
+    def test_budgeted_persist_removes_the_evicted_files(
+        self, inventory, sl5_64_gcc44, tmp_path
+    ):
+        """storage.persist mirrors the namespace: the files of evicted
+        entries are removed on disk, so a reload cannot resurrect them."""
+        cache, _store = _populated_cache(inventory, sl5_64_gcc44)
+        storage = CommonStorage()
+        cache.persist_to(storage)
+        storage.persist(str(tmp_path))
+        budget = cache.total_size_bytes() // 2
+        assert cache.persist_to(storage, max_bytes=budget) == 0
+        survivors = len(cache)
+        assert 0 < survivors < len(inventory.all())
+        storage.persist(str(tmp_path))
+        assert len(os.listdir(tmp_path / BuildCache.NAMESPACE)) == 2 * survivors + 1
+        reloaded = CommonStorage.load(str(tmp_path))
+        restored = BuildCache.restore_from(reloaded, ArtifactStore())
+        assert len(restored) == survivors
+        # Stores after the reload persist cleanly next to the survivors.
+        builder = PackageBuilder()
+        evicted = [
+            package for package in inventory.all()
+            if not cache.contains(package, sl5_64_gcc44)
+        ]
+        restored.store(
+            evicted[0], sl5_64_gcc44,
+            builder.build_package(evicted[0], sl5_64_gcc44),
+        )
+        assert restored.persist_to(reloaded) == 1
+        assert BuildCache.journal_status(reloaded)["entries"] == survivors + 1
 
 
 class TestLegacySnapshotCleanup:
@@ -576,7 +591,7 @@ class TestLegacySnapshotCleanup:
     ):
         storage = self._legacy_snapshot(inventory, sl5_64_gcc44)
         restored = BuildCache.restore_from(storage, ArtifactStore())
-        # New builds journal normally; the dead documents disappear.
+        # New builds persist normally; the dead documents disappear.
         package = inventory.all()[0]
         restored.store(
             package, sl5_64_gcc44,
@@ -590,52 +605,134 @@ class TestLegacySnapshotCleanup:
         assert len(BuildCache.restore_from(storage, ArtifactStore())) == 1
 
 
-class TestJournalCorruptionRecovery:
+class TestParentJournalLayout:
+    """A ``buildcache`` persisted in the earlier append-only journal layout
+    (entry records, tombstones and superseding records batched into
+    ``journal_segment_*`` files, a ``lineage`` epoch) still warm-starts,
+    and its first persist rewrites it in the live layout."""
+
+    STATISTICS = {
+        "hits": 5, "misses": 4, "stores": 4, "evictions": 1, "shared_hits": 3,
+        "donated_by_experiment": {"ZEUS": 3}, "hit_rate": 5 / 9,
+    }
+
+    def _parent_directory(self, directory, packages, configuration):
+        builder = PackageBuilder()
+        results = [builder.build_package(package, configuration)
+                   for package in packages]
+        keys = [package_identity_digest(package, configuration)
+                for package in packages]
+
+        def entry(index, stored_by="PERSISTEXP", shared_hits=0):
+            return {"type": "entry", "cache_key": keys[index],
+                    "stored_by": stored_by, "shared_hits": shared_hits,
+                    "result": results[index].to_dict()}
+
+        records = [
+            entry(0, stored_by="ZEUS"), entry(1), entry(2),
+            {"type": "tombstone", "cache_key": keys[1]},
+            # Superseding record: a donation after the first was journalled.
+            entry(0, stored_by="ZEUS", shared_hits=3),
+            entry(3),
+        ]
+        target = directory / BuildCache.NAMESPACE
+        target.mkdir(parents=True)
+        documents = {
+            "journal_segment_00000001": {"sp-journal-segment": {
+                f"journal_{sequence:08d}": records[sequence - 1]
+                for sequence in range(1, 5)}},
+            "journal_segment_00000005": {"sp-journal-segment": {
+                f"journal_{sequence:08d}": records[sequence - 1]
+                for sequence in range(5, 7)}},
+            "lineage": {"epoch": 3},
+            "statistics": self.STATISTICS,
+        }
+        for result in results:
+            documents[f"artifact_{result.tarball.digest}"] = result.tarball.to_dict()
+        for name, document in documents.items():
+            (target / f"{name}.json").write_text(
+                json.dumps(document, indent=2, sort_keys=True)
+            )
+        return keys
+
+    def test_parent_journal_restores_and_is_rewritten_once(
+        self, inventory, sl5_64_gcc44, tmp_path
+    ):
+        packages = inventory.all()[:4]
+        keys = self._parent_directory(tmp_path, packages, sl5_64_gcc44)
+        loaded = CommonStorage.load(str(tmp_path))
+        restored = BuildCache.restore_from(loaded, ArtifactStore())
+        # The tombstoned entry is gone, the rest restored.
+        assert [restored.contains(package, sl5_64_gcc44)
+                for package in packages] == [True, False, True, True]
+        assert restored.statistics == CacheStatistics.from_dict(self.STATISTICS)
+
+        assert restored.persist_to(loaded) == 3
+        entries = {
+            document["cache_key"]: document
+            for key, document in loaded.namespace(BuildCache.NAMESPACE).items()
+            if key.startswith(BuildCache.ENTRY_PREFIX)
+        }
+        assert sorted(entries) == sorted([keys[0], keys[2], keys[3]])
+        # The superseding record's donor count, and the donor, survived.
+        assert entries[keys[0]]["stored_by"] == "ZEUS"
+        assert entries[keys[0]]["shared_hits"] == 3
+        assert entries[keys[2]]["stored_by"] == "PERSISTEXP"
+        assert entries[keys[2]]["shared_hits"] == 0
+        borrower = replace(packages[0], experiment="H1")
+        assert restored.lookup(borrower, sl5_64_gcc44) is not None
+        assert restored.statistics.donated_by_experiment == {"ZEUS": 4}
+
+        loaded.persist(str(tmp_path))
+        files = sorted(os.listdir(tmp_path / BuildCache.NAMESPACE))
+        assert not [name for name in files
+                    if name.startswith("journal_") or name == "lineage.json"]
+        assert len(files) == 2 * 3 + 1
+        reloaded = CommonStorage.load(str(tmp_path))
+        again = BuildCache.restore_from(reloaded, ArtifactStore())
+        assert again.persist_to(reloaded) == 0
+        assert reloaded.persist(str(tmp_path)) == []
+
+
+class TestCorruptionRecovery:
     def _persisted(self, inventory, configuration):
         cache, _store = _populated_cache(inventory, configuration)
         storage = CommonStorage()
         cache.persist_to(storage)
         return cache, storage
 
-    def test_corrupted_trailing_record_is_dropped(self, inventory, sl5_64_gcc44):
+    def test_a_truncated_entry_document_is_dropped(self, inventory, sl5_64_gcc44):
         cache, storage = self._persisted(inventory, sl5_64_gcc44)
         namespace = storage.namespace(BuildCache.NAMESPACE)
-        last_key = _journal_keys(storage)[-1]
-        namespace.put(last_key, {"type": "entry", "cache_key": "x"})  # truncated
+        last_key = _entry_keys(storage)[-1]
+        namespace.put(last_key, {"cache_key": "x"})  # truncated
         restored = BuildCache.restore_from(storage, ArtifactStore())
-        # Everything before the corrupted tail is recovered.
+        # Every other entry is recovered.
         assert len(restored) == len(cache) - 1
 
-    def test_mid_journal_corruption_skips_only_the_broken_record(
+    def test_a_garbage_entry_document_skips_only_that_entry(
         self, inventory, sl5_64_gcc44
     ):
-        """One bad record must not discard the valid tail behind it.
-
-        Skipping is safe for a content-addressed cache: a lost entry costs
-        a rebuild, a resurrected one is still correct by construction.
-        """
+        """Skipping is safe for a content-addressed cache: a lost entry
+        costs a rebuild, and nothing wrong is ever served."""
         cache, storage = self._persisted(inventory, sl5_64_gcc44)
         namespace = storage.namespace(BuildCache.NAMESPACE)
-        keys = _journal_keys(storage)
-        namespace.put(keys[1], "garbage")
+        namespace.put(_entry_keys(storage)[1], "garbage")
         restored = BuildCache.restore_from(storage, ArtifactStore())
         assert len(restored) == len(cache) - 1
 
-    def test_next_persist_repairs_a_recovered_journal(
+    def test_next_persist_repairs_a_recovered_cache(
         self, inventory, sl5_64_gcc44
     ):
         cache, storage = self._persisted(inventory, sl5_64_gcc44)
         namespace = storage.namespace(BuildCache.NAMESPACE)
-        last_key = _journal_keys(storage)[-1]
-        namespace.put(last_key, {"type": "entry", "cache_key": "x"})
+        last_key = _entry_keys(storage)[-1]
+        namespace.put(last_key, {"cache_key": "x"})
         restored = BuildCache.restore_from(storage, ArtifactStore())
-        written = restored.persist_to(storage)
-        # The repair is a full rewrite of the journal from the live state.
-        assert written == len(restored)
-        status = BuildCache.journal_status(storage)
-        assert status["records"] == len(restored)
-        rerestored = BuildCache.restore_from(storage, ArtifactStore())
-        assert len(rerestored) == len(restored)
+        assert restored.persist_to(storage) == 0
+        # The broken document is gone; the namespace holds the live cache.
+        assert last_key not in _entry_keys(storage)
+        _assert_restores_the_live_cache(restored, storage)
 
 
 class TestRestoreTimeEviction:
@@ -651,6 +748,35 @@ class TestRestoreTimeEviction:
         assert len(restored) == len(cache) - 1
         assert restored.statistics.evictions == cache.statistics.evictions + 1
         assert restored.lookup(inventory.all()[0], sl5_64_gcc44) is None
+
+    @pytest.mark.parametrize("malformed", ["partial", "list", "other_tarball"])
+    def test_malformed_artifact_document_evicts_entry(
+        self, inventory, sl5_64_gcc44, malformed
+    ):
+        """An artifact document that is JSON but not the entry's tarball
+        counts as a missing artifact, not as a reason to abort."""
+        cache, _store = _populated_cache(inventory, sl5_64_gcc44)
+        storage = CommonStorage()
+        cache.persist_to(storage)
+        builder = PackageBuilder()
+        victim = builder.build_package(inventory.all()[0], sl5_64_gcc44)
+        document = {
+            "partial": {"digest": "x"},
+            "list": ["not", "a", "tarball"],
+            "other_tarball": builder.build_package(
+                inventory.all()[1], sl5_64_gcc44
+            ).tarball.to_dict(),
+        }[malformed]
+        storage.put(
+            BuildCache.NAMESPACE,
+            f"{BuildCache.ARTIFACT_PREFIX}{victim.tarball.digest}",
+            document,
+        )
+        restored = BuildCache.restore_from(storage, ArtifactStore())
+        assert len(restored) == len(cache) - 1
+        assert restored.statistics.evictions == cache.statistics.evictions + 1
+        assert restored.lookup(inventory.all()[0], sl5_64_gcc44) is None
+        assert restored.lookup(inventory.all()[1], sl5_64_gcc44) is not None
 
     def test_restore_never_mutates_the_source_storage(self, inventory, sl5_64_gcc44):
         """Restore is read-only: the snapshot may belong to a live installation."""
@@ -681,6 +807,60 @@ class TestRestoreTimeEviction:
         restored = BuildCache.restore_from(storage, source_store)
         assert len(restored) == len(cache)
         assert restored.statistics.evictions == cache.statistics.evictions
+
+
+class TestInterruptedPersist:
+    """A persist killed after k file writes loses at most what it had not
+    yet written: the directory restores a subset of the live cache, every
+    entry with its tarball, and the next persist completes it."""
+
+    @pytest.mark.parametrize("writes", [0, 1, 3, 5, 8, 9, 12, 16])
+    def test_a_persist_cut_short_restores_a_subset_of_the_live_cache(
+        self, inventory, sl5_64_gcc44, sl6_64_gcc44, tmp_path, monkeypatch, writes
+    ):
+        cache, _store = _populated_cache(inventory, sl5_64_gcc44)
+        storage = CommonStorage()
+        cache.persist_to(storage)
+        storage.persist(str(tmp_path))
+        builder = PackageBuilder()
+        for package in inventory.all():
+            cache.store(
+                package, sl6_64_gcc44, builder.build_package(package, sl6_64_gcc44)
+            )
+        cache.persist_to(storage)
+        replace_file = common_storage._replace_file
+        written = []
+
+        def killed_after_k_writes(path, data):
+            if len(written) == writes:
+                raise OSError("persist killed")
+            written.append(path)
+            replace_file(path, data)
+
+        monkeypatch.setattr(common_storage, "_replace_file", killed_after_k_writes)
+        with pytest.raises(OSError, match="persist killed"):
+            storage.persist(str(tmp_path))
+        monkeypatch.undo()
+
+        store = ArtifactStore()
+        restored = BuildCache.restore_from(CommonStorage.load(str(tmp_path)), store)
+        live = [
+            (package, configuration)
+            for configuration in (sl5_64_gcc44, sl6_64_gcc44)
+            for package in inventory.all()
+        ]
+        kept = [cell for cell in live if restored.contains(*cell)]
+        # Nothing outside the live cache, nothing persisted earlier lost,
+        # and no entry restored without its tarball.
+        assert len(restored) == len(kept)
+        assert all(restored.contains(package, sl5_64_gcc44)
+                   for package in inventory.all())
+        assert restored.statistics.evictions == 0
+        for cell in kept:
+            assert store.exists(restored.lookup(*cell).tarball.digest)
+
+        storage.persist(str(tmp_path))
+        _assert_restores_the_live_cache(cache, CommonStorage.load(str(tmp_path)))
 
 
 class TestSizeBudget:
@@ -819,12 +999,12 @@ class TestWarmStartCampaigns:
             system.restore_build_cache(CommonStorage())
         assert system.restore_build_cache(CommonStorage(), missing_ok=True) is None
 
-    def test_restore_mounts_the_journal_for_incremental_persists(self):
-        """A warm installation appends to the inherited journal, not rewrites.
+    def test_restore_mounts_the_cache_for_incremental_persists(self):
+        """A warm installation persists into the inherited namespace.
 
         This is the CLI round trip: restore from a loaded storage, run a
         campaign, persist into the installation's own storage — without new
-        builds, zero journal records are appended.
+        builds, no entry is added.
         """
         cold = _fresh_system()
         cold.submit(_hermes_spec())
@@ -834,10 +1014,10 @@ class TestWarmStartCampaigns:
 
         warm = _fresh_system()
         warm.restore_build_cache(cold.storage)
-        # The journal travelled into the warm installation's own storage...
+        # The cache travelled into the warm installation's own storage...
         assert warm.storage.keys(BuildCache.NAMESPACE) == source_keys
         warm.submit(_hermes_spec())
-        # ...and a fully warm campaign appends nothing to it.
+        # ...and a fully warm campaign adds no entry to it.
         assert warm.persist_build_cache() == 0
         assert warm.storage.keys(BuildCache.NAMESPACE) == source_keys
         # The source installation's storage was never modified.
@@ -845,7 +1025,7 @@ class TestWarmStartCampaigns:
 
 
 class TestForkedCampaignJournal:
-    """System level: a forked campaign never disturbs a mounted journal."""
+    """System level: a forked campaign never disturbs a persisted cache."""
 
     def test_forked_campaign_keeps_the_mounted_journal_consistent(self):
         system = _fresh_system()
@@ -857,9 +1037,9 @@ class TestForkedCampaignJournal:
         ).result()
         # The parent's build pass stored the second configuration's builds
         # in the live cache only; the forked workers compute tests and
-        # write nothing, so the synced journal is untouched.  The next
-        # persist appends exactly the new entries, after which restore
-        # equals the live cache.
+        # write nothing, so the persisted cache is untouched.  The next
+        # persist adds exactly the new entries, after which restore equals
+        # the live cache.
         assert len(
             BuildCache.restore_from(system.storage, ArtifactStore())
         ) == before
@@ -873,5 +1053,5 @@ class TestForkedCampaignJournal:
         system.submit(
             _hermes_spec(workers=2, slots_per_worker=1, backend="processes")
         ).result()
-        # Never persisted, so no journal exists.
+        # Never persisted, so no buildcache namespace exists.
         assert BuildCache.NAMESPACE not in system.storage.namespaces()

@@ -131,8 +131,9 @@ class TestSharedHitAccounting:
         restored = BuildCache.restore_from(storage, ArtifactStore())
         assert restored.statistics.shared_hits == 1
         assert restored.statistics.donated_by_experiment == {"ZEUS": 1}
-        # The donor attribution travels with the journal: a hit from a third
-        # experiment is still credited to the original storing experiment.
+        # The donor attribution travels with the persisted cache: a hit from
+        # a third experiment is still credited to the original storing
+        # experiment.
         third = replace(taker, experiment="H1")
         restored.lookup(third, sl5_64_gcc44)
         assert restored.statistics.donated_by_experiment == {"ZEUS": 2}
@@ -368,18 +369,18 @@ class TestDonorAwareEviction:
         assert restored.contains(donor, sl5_64_gcc44)
 
     def test_donation_after_persist_is_rejournalled(self, sl5_64_gcc44):
-        """A shared hit AFTER the entry was journalled must survive restore.
+        """A shared hit AFTER the entry was persisted must survive restore.
 
-        The entry's original record carries shared_hits=0; the next persist
-        appends a superseding record with the moved count, so the restored
-        cache's donor-aware eviction still spares the proven donor.
+        The entry's persisted document carries shared_hits=0; the next
+        persist puts it again with the moved count, so the restored cache's
+        donor-aware eviction still spares the proven donor.
         """
         from repro.storage.common_storage import CommonStorage
 
         cache, privates, donor = self._cache_with_one_donor(sl5_64_gcc44)
         storage = CommonStorage()
         cache.persist_to(storage)
-        # The donation happens only now — after the journal was written.
+        # The donation happens only now — after the cache was persisted.
         fresh = BuildCache(cache.artifact_store)
         builder = PackageBuilder()
         for package in privates + [donor]:
@@ -393,7 +394,7 @@ class TestDonorAwareEviction:
         assert fresh.lookup(taker, sl5_64_gcc44) is not None  # post-persist hit
         assert fresh.persist_to(clean) == 0  # no new entries...
         restored = BuildCache.restore_from(clean, ArtifactStore())
-        # ...but the superseding record carried the donor count across.
+        # ...but the re-put entry document carried the donor count across.
         for package in privates:
             assert restored.lookup(package, sl5_64_gcc44) is not None
         donor_size = restored.entry_size_bytes(
@@ -402,18 +403,17 @@ class TestDonorAwareEviction:
         restored.enforce_budget(restored.total_size_bytes() - donor_size)
         assert restored.contains(donor, sl5_64_gcc44)
 
-    def test_repersist_without_donations_appends_nothing(self, sl5_64_gcc44):
-        """The superseding-record path fires only when a count moved."""
+    def test_repersist_without_donations_puts_no_entry(self, sl5_64_gcc44, puts):
+        """An entry document is put again only when its donor count moved."""
         from repro.storage.common_storage import CommonStorage
 
         cache, privates, _donor = self._cache_with_one_donor(sl5_64_gcc44)
         storage = CommonStorage()
         cache.persist_to(storage)
-        records = len(storage.keys(BuildCache.NAMESPACE, prefix=BuildCache.JOURNAL_PREFIX))
         # Same-experiment traffic moves recency, not shared counts.
         for package in privates:
             assert cache.lookup(package, sl5_64_gcc44) is not None
+        puts.clear()
         assert cache.persist_to(storage) == 0
-        assert len(
-            storage.keys(BuildCache.NAMESPACE, prefix=BuildCache.JOURNAL_PREFIX)
-        ) == records
+        # Only the hit counters in the statistics moved.
+        assert puts == [f"{BuildCache.NAMESPACE}/{BuildCache.STATISTICS_KEY}"]

@@ -117,10 +117,10 @@ class TestCommonStorage:
         assert loaded.keys("results") == ["run_001", "run_002", "run_003"]
 
     def test_persist_mirrors_journal_namespaces(self, tmp_path):
-        """Mirrored (journal-backed) namespaces drop deleted documents.
+        """Mirrored namespaces drop deleted documents.
 
-        Without the mirror, records removed by a journal compaction would
-        linger on disk and be resurrected by the next load.
+        Without the mirror, the document of an evicted build-cache entry
+        would linger on disk and be resurrected by the next load.
         """
         # The build cache registers its namespace as mirrored on import.
         from repro.scheduler.cache import BuildCache
@@ -132,7 +132,7 @@ class TestCommonStorage:
         namespace.put("journal_00000001", {"type": "entry"})
         namespace.put("journal_00000002", {"type": "entry"})
         storage.persist(str(tmp_path))
-        namespace.delete("journal_00000002")  # a compaction dropped it
+        namespace.delete("journal_00000002")  # a persist dropped it
         storage.persist(str(tmp_path))
         loaded = CommonStorage.load(str(tmp_path))
         assert loaded.keys("buildcache") == ["journal_00000001"]
@@ -141,14 +141,14 @@ class TestCommonStorage:
 class TestJournalSegmentFiles:
     """Journal namespaces persist as batched segment files, not per-record.
 
-    ``register_journal_namespace`` owners (the build cache's ``buildcache``,
-    the history ledger's ``history``) get their ``journal_<seq>`` records
+    ``register_journal_namespace`` owners (the history ledger's
+    ``history``) get their ``journal_<seq>`` records
     batched into ``journal_segment_<first-seq>.json`` files of
     ``JOURNAL_SEGMENT_RECORDS`` records each; ``load`` explodes them back,
     so the in-memory journal representation never changes.
     """
 
-    def _journal_storage(self, n_records, namespace_name="buildcache"):
+    def _journal_storage(self, n_records, namespace_name="history"):
         storage = CommonStorage()
         namespace = storage.create_namespace(namespace_name)
         for sequence in range(1, n_records + 1):
@@ -162,9 +162,9 @@ class TestJournalSegmentFiles:
         namespace.put("statistics", {"hits": 3})  # non-record document
         storage.persist(str(tmp_path))
         loaded = CommonStorage.load(str(tmp_path))
-        assert loaded.keys("buildcache") == storage.keys("buildcache")
-        for key in storage.keys("buildcache"):
-            assert loaded.get("buildcache", key) == storage.get("buildcache", key)
+        assert loaded.keys("history") == storage.keys("history")
+        for key in storage.keys("history"):
+            assert loaded.get("history", key) == storage.get("history", key)
 
     def test_persist_writes_o_segments_files(self, tmp_path):
         from repro.storage.common_storage import JOURNAL_SEGMENT_RECORDS
@@ -172,20 +172,20 @@ class TestJournalSegmentFiles:
         n_records = JOURNAL_SEGMENT_RECORDS + 3  # two segments
         storage, _namespace = self._journal_storage(n_records)
         storage.persist(str(tmp_path))
-        files = sorted(os.listdir(tmp_path / "buildcache"))
+        files = sorted(os.listdir(tmp_path / "history"))
         assert files == [
             "journal_segment_00000001.json",
             f"journal_segment_{JOURNAL_SEGMENT_RECORDS + 1:08d}.json",
         ]
         loaded = CommonStorage.load(str(tmp_path))
-        assert len(loaded.keys("buildcache")) == n_records
+        assert len(loaded.keys("history")) == n_records
 
     def test_non_record_documents_keep_their_own_files(self, tmp_path):
         storage, namespace = self._journal_storage(2)
         namespace.put("statistics", {"hits": 1})
         namespace.put("lineage", {"epoch": 4})
         storage.persist(str(tmp_path))
-        files = sorted(os.listdir(tmp_path / "buildcache"))
+        files = sorted(os.listdir(tmp_path / "history"))
         assert files == [
             "journal_segment_00000001.json", "lineage.json", "statistics.json",
         ]
@@ -196,25 +196,25 @@ class TestJournalSegmentFiles:
 
         storage, namespace = self._journal_storage(JOURNAL_SEGMENT_RECORDS + 1)
         storage.persist(str(tmp_path))
-        assert len(os.listdir(tmp_path / "buildcache")) == 2
+        assert len(os.listdir(tmp_path / "history")) == 2
         # Compaction: everything collapses into one record.
         for key in namespace.keys(prefix="journal_"):
             namespace.delete(key)
         namespace.put("journal_00000001", {"type": "entry", "n": 1})
         storage.persist(str(tmp_path))
-        files = sorted(os.listdir(tmp_path / "buildcache"))
+        files = sorted(os.listdir(tmp_path / "history"))
         assert files == ["journal_segment_00000001.json"]
         loaded = CommonStorage.load(str(tmp_path))
-        assert loaded.keys("buildcache") == ["journal_00000001"]
+        assert loaded.keys("history") == ["journal_00000001"]
 
     def test_legacy_per_record_files_still_load(self, tmp_path):
         """Pre-segment storages (one file per record) remain readable."""
-        target = tmp_path / "buildcache"
+        target = tmp_path / "history"
         target.mkdir()
         with open(target / "journal_00000001.json", "w") as handle:
             json.dump({"type": "entry", "n": 1}, handle)
         loaded = CommonStorage.load(str(tmp_path))
-        assert loaded.get("buildcache", "journal_00000001") == {
+        assert loaded.get("history", "journal_00000001") == {
             "type": "entry", "n": 1,
         }
 
@@ -230,7 +230,7 @@ class TestJournalSegmentFiles:
         from repro.storage.common_storage import AppendOnlyJournal
 
         storage = CommonStorage()
-        namespace = storage.create_namespace("buildcache")
+        namespace = storage.create_namespace("history")
         # A legacy journal with unpadded keys, written out of lexicographic
         # order on purpose, plus one modern padded record.
         namespace.put("journal_10", {"type": "entry", "n": 10})
@@ -253,7 +253,7 @@ class TestJournalSegmentFiles:
         # yields the same records in the same append order.
         storage.persist(str(tmp_path))
         loaded = CommonStorage.load(str(tmp_path))
-        replayed = AppendOnlyJournal(loaded.namespace("buildcache"))
+        replayed = AppendOnlyJournal(loaded.namespace("history"))
         assert [record["n"] for _sequence, record in replayed.records()] == [
             2, 9, 10, 11, 12,
         ]
@@ -297,7 +297,7 @@ class TestIncrementalPersist:
         storage.put("results", "run_001", {"status": "passed"})
         storage.put("results", "run_002", {"status": "failed"})
         storage.put("reports", "index", {"html": "<p>two runs</p>"})
-        namespace = storage.create_namespace("buildcache")
+        namespace = storage.create_namespace("history")
         for sequence in range(1, self.RECORDS + 1):
             namespace.put(f"journal_{sequence:08d}", {"type": "entry", "n": sequence})
         namespace.put("statistics", {"hits": 1})
@@ -332,14 +332,14 @@ class TestIncrementalPersist:
         storage = self._storage()
         storage.persist(str(tmp_path))
         before = file_states(tmp_path, backdate=True)
-        AppendOnlyJournal(storage.namespace("buildcache")).append({"type": "entry"})
+        AppendOnlyJournal(storage.namespace("history")).append({"type": "entry"})
         last = os.path.join(
-            "buildcache", f"journal_segment_{2 * JOURNAL_SEGMENT_RECORDS + 1:08d}.json"
+            "history", f"journal_segment_{2 * JOURNAL_SEGMENT_RECORDS + 1:08d}.json"
         )
         assert storage.persist(str(tmp_path)) == [os.path.join(str(tmp_path), last)]
         assert _changed(before, file_states(tmp_path)) == {last}
         loaded = CommonStorage.load(str(tmp_path))
-        assert len(loaded.keys("buildcache", prefix="journal_")) == self.RECORDS + 1
+        assert len(loaded.keys("history", prefix="journal_")) == self.RECORDS + 1
 
     def test_a_failed_replace_keeps_the_old_bytes_and_no_temp_file(
         self, tmp_path, monkeypatch, file_states
@@ -375,10 +375,10 @@ class TestIncrementalPersist:
         storage = self._storage()
         storage.persist(str(tmp_path))
         # What a persist killed between its write and its rename leaves.
-        stray = tmp_path / "buildcache" / ".statistics.json.k3x9q1.tmp"
+        stray = tmp_path / "history" / ".statistics.json.k3x9q1.tmp"
         stray.write_text('{"hits": ')
         loaded = CommonStorage.load(str(tmp_path))
-        assert loaded.keys("buildcache") == storage.keys("buildcache")
+        assert loaded.keys("history") == storage.keys("history")
         assert loaded.persist(str(tmp_path)) == []
 
     def test_written_files_get_the_mode_of_a_plain_open(self, tmp_path):

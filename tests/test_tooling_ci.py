@@ -201,6 +201,28 @@ class TestWorkCountsScript:
         assert commands[0][2:] == ["--workload", "service", "--seed", str(script.SEED),
                                    "--seconds", "1", "--trace", "1"]
 
+    def test_deletes_the_gate_seeds_trace_and_result_after_parsing_a_run(
+        self, script, monkeypatch, tmp_path
+    ):
+        seed = script.SEED
+        names = [f"traces/service-{seed}-20261019T071908.json",
+                 f"results/service-{seed}-20261019T071912-4448.json",
+                 f"traces/nightly-{seed}-20261019T071908.json",
+                 f"traces/service-{seed + 4}-20261019T071908.json",
+                 f"results/service-1{seed}-20261019T071912-4448.json",
+                 f"digests/service-{seed}-1.txt"]
+        for name in names:
+            path = tmp_path / ".perfbench-work" / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text("{}")
+        metrics = {"hepdata.calls": {"value": 207, "unit": "count"}}
+        self._stub_perfbench(monkeypatch, 0, json.dumps({"metrics": metrics}) + "\n")
+        assert script.work_counts("service") == {"hepdata.calls": 207}
+        assert sorted(
+            path.relative_to(tmp_path / ".perfbench-work").as_posix()
+            for path in tmp_path.rglob("*") if path.is_file()
+        ) == sorted(names[2:])
+
     def test_a_failed_run_exits_non_zero_and_shows_its_output(
         self, script, monkeypatch, capsys
     ):
