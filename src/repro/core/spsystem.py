@@ -675,10 +675,10 @@ class SPSystem:
         documents, and a fresh installation mounting the loaded storage (or
         calling :meth:`restore_build_cache`) warm-starts from it.  Only the
         documents whose content changed are put, so repeated campaigns
-        write O(changed entries) documents.  With *max_bytes*,
-        least-recently-hit entries are evicted first so the persisted cache
-        stays within the size budget.  Returns the number of entries that
-        were not yet persisted.
+        write O(changed entries) documents.  With *max_bytes*, entries are
+        evicted first (see :meth:`BuildCache.enforce_budget`) so the
+        persisted cache stays within the size budget.  Returns the number
+        of entries that were not yet persisted.
         """
         cache = self.effective_build_cache()
         with self.telemetry.tracer.span("journal_persist", category="journal"):
