@@ -66,9 +66,11 @@ def stable_hash(*parts: object, digits: int = 16) -> int:
     built-in ``hash``.  It is used to derive reproducible pseudo-random
     outcomes, e.g. which synthetic package fails under which compiler.
     """
-    payload = "\x1f".join(str(part) for part in parts).encode("utf-8")
-    digest = hashlib.sha256(payload).hexdigest()
-    return int(digest[:digits], 16)
+    payload = "\x1f".join(map(str, parts)).encode("utf-8")
+    if digits == 16:
+        # The first 16 hex digits are the first 8 bytes of the digest.
+        return int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
+    return int(hashlib.sha256(payload).hexdigest()[:digits], 16)
 
 
 def stable_fraction(*parts: object) -> float:

@@ -91,9 +91,10 @@ class FourVector:
     @property
     def theta(self) -> float:
         """Polar angle with respect to the beam axis."""
-        if self.momentum == 0.0:
+        momentum = self.momentum
+        if momentum == 0.0:
             return 0.0
-        return math.acos(max(-1.0, min(1.0, self.pz / self.momentum)))
+        return math.acos(max(-1.0, min(1.0, self.pz / momentum)))
 
     def __add__(self, other: "FourVector") -> "FourVector":
         return FourVector(

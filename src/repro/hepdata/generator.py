@@ -83,6 +83,10 @@ class MonteCarloGenerator:
         """Generate *n_events* events using the deterministic *seed*."""
         if n_events < 0:
             raise ValidationError("cannot generate a negative number of events")
+        # Scalar draws spell out numpy's own definitions on rng.random() and
+        # rng.standard_normal(): uniform(a, b) is a + (b - a) * random() and
+        # normal(0, s) is 0.0 + s * standard_normal().  They consume the same
+        # stream and give the same bits without numpy's per-call overhead.
         rng = np.random.default_rng(seed)
         record = EventRecord()
         record.add_provenance(f"mc-generation:{self.settings.process}:seed={seed}")
@@ -92,7 +96,7 @@ class MonteCarloGenerator:
             q2 = self._sample_q2(rng)
             # y is bounded below by the kinematic limit Q^2 = s x y with x <= 1.
             y_min = max(q2 / s, 0.005)
-            y = float(rng.uniform(y_min, 0.95))
+            y = y_min + (0.95 - y_min) * rng.random()
             x = q2 / (s * y)
             x = min(max(x, 1e-5), 0.99)
             particles = self._build_final_state(rng, q2, y)
@@ -112,7 +116,7 @@ class MonteCarloGenerator:
         """Sample Q² from a 1/Q⁴-like falling spectrum within the configured range."""
         q2_min = self.settings.q2_min
         q2_max = self.settings.q2_max
-        u = float(rng.uniform(0.0, 1.0))
+        u = rng.random()
         # Inverse transform of f(Q^2) ~ 1/Q^4 between the bounds.
         inv_min = 1.0 / q2_min ** 3
         inv_max = 1.0 / q2_max ** 3
@@ -130,7 +134,7 @@ class MonteCarloGenerator:
         cos_theta = 1.0 - q2 / (2.0 * LEPTON_BEAM_ENERGY * scattered_energy)
         cos_theta = max(-1.0, min(1.0, cos_theta))
         theta = math.acos(cos_theta)
-        phi = float(rng.uniform(0.0, 2.0 * math.pi))
+        phi = 2.0 * math.pi * rng.random()
         pt = scattered_energy * math.sin(theta)
         pz = scattered_energy * math.cos(theta)
         lepton_vector = FourVector(
@@ -161,13 +165,13 @@ class MonteCarloGenerator:
             pion_code = 211 if index % 2 == 0 else -211
             mass = PARTICLE_MASSES[pion_code]
             fraction = float(fractions[index])
-            track_px = recoil_px * fraction + float(rng.normal(0.0, 0.15))
-            track_py = recoil_py * fraction + float(rng.normal(0.0, 0.15))
+            track_px = recoil_px * fraction + (0.0 + 0.15 * rng.standard_normal())
+            track_py = recoil_py * fraction + (0.0 + 0.15 * rng.standard_normal())
             track_pt = max(math.hypot(track_px, track_py), 0.05)
             # Choose the longitudinal angle so the track carries its share of
             # the hadronic E - pz budget (with a mild spread).
             target_e_minus_pz = max(
-                total_e_minus_pz * fraction * float(rng.uniform(0.7, 1.3)), 1e-3
+                total_e_minus_pz * fraction * (0.7 + (1.3 - 0.7) * rng.random()), 1e-3
             )
             eta = math.log(track_pt / target_e_minus_pz)
             eta = max(min(eta, 6.0), -4.5)

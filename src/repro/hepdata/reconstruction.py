@@ -160,6 +160,12 @@ class EventReconstruction:
             key=lambda particle: particle.four_vector.pt,
             reverse=True,
         )
+        if not hadrons or hadrons[0].four_vector.pt < 0.5:
+            return []
+        # Each hadron's direction, computed once rather than once per seed:
+        # the first seed's cone visits every hadron.
+        etas = [self._pseudorapidity(hadron.four_vector) for hadron in hadrons]
+        phis = [hadron.four_vector.phi for hadron in hadrons]
         used = [False] * len(hadrons)
         jets: List[Jet] = []
         for seed_index, seed in enumerate(hadrons):
@@ -169,13 +175,13 @@ class EventReconstruction:
                 break
             members = [seed_index]
             used[seed_index] = True
-            seed_eta = self._pseudorapidity(seed.four_vector)
-            seed_phi = seed.four_vector.phi
-            for other_index, other in enumerate(hadrons):
+            seed_eta = etas[seed_index]
+            seed_phi = phis[seed_index]
+            for other_index in range(len(hadrons)):
                 if used[other_index]:
                     continue
-                d_eta = self._pseudorapidity(other.four_vector) - seed_eta
-                d_phi = self._delta_phi(other.four_vector.phi, seed_phi)
+                d_eta = etas[other_index] - seed_eta
+                d_phi = self._delta_phi(phis[other_index], seed_phi)
                 if math.hypot(d_eta, d_phi) <= self.jet_cone_radius:
                     members.append(other_index)
                     used[other_index] = True

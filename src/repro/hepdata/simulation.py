@@ -72,6 +72,9 @@ class DetectorSimulation:
 
     def simulate(self, record: EventRecord, seed: int = 2) -> EventRecord:
         """Return a detector-level copy of *record*."""
+        # The scalar draws spell out numpy's definitions (see
+        # MonteCarloGenerator.generate): the same stream, without numpy's
+        # per-call overhead.
         rng = np.random.default_rng(seed)
         simulated = EventRecord(provenance=list(record.provenance))
         simulated.add_provenance(f"detector-simulation:{self.settings.name}:seed={seed}")
@@ -85,7 +88,7 @@ class DetectorSimulation:
         for index, particle in enumerate(event.particles):
             if not self._in_acceptance(particle):
                 continue
-            if particle.is_charged and rng.uniform() > self.settings.track_efficiency:
+            if particle.is_charged and rng.random() > self.settings.track_efficiency:
                 continue
             detected.append(self._smear(particle, rng, f"{event.event_number}:{index}"))
         return Event(
@@ -116,11 +119,13 @@ class DetectorSimulation:
         """Smear the particle's four vector according to the detector resolution."""
         vector = particle.four_vector
         if particle.is_charged:
-            scale = 1.0 + float(rng.normal(0.0, self.settings.momentum_resolution))
+            scale = 1.0 + (
+                0.0 + self.settings.momentum_resolution * rng.standard_normal()
+            )
         else:
             energy = max(vector.energy, 0.1)
             sigma = self.settings.energy_resolution_stochastic / math.sqrt(energy)
-            scale = 1.0 + float(rng.normal(0.0, sigma))
+            scale = 1.0 + (0.0 + sigma * rng.standard_normal())
         scale = max(scale, 0.05)
         scale = self.numeric_context.perturb_scalar(scale, f"smear:{tag}")
         smeared = FourVector(
