@@ -686,9 +686,12 @@ class SPSystem:
         self.telemetry.metrics.increment(
             "journal_entries_persisted_total", amount=added
         )
-        self.telemetry.metrics.set_gauge(
-            "journal_bytes", BuildCache.journal_status(self.storage).get("bytes", 0)
-        )
+        if self.telemetry.enabled:
+            # journal_status re-serialises every buildcache document, so
+            # the gauge is computed only for a live telemetry bundle.
+            self.telemetry.metrics.set_gauge(
+                "journal_bytes", BuildCache.journal_status(self.storage)["bytes"]
+            )
         return added
 
     def restore_build_cache(

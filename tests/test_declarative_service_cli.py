@@ -433,6 +433,31 @@ class TestCommandLineInterface:
         assert "persisted cache entries" in output
         assert "cache artifact payloads" in output
 
+    def test_campaign_output_computes_the_cache_status_once(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """The campaign page's cache line is the one journal_status call of
+        a `campaign --output` run, and it describes the persisted cache."""
+        calls = []
+        original = BuildCache.journal_status.__func__
+
+        def counting(cls, storage):
+            calls.append(storage)
+            return original(cls, storage)
+
+        monkeypatch.setattr(BuildCache, "journal_status", classmethod(counting))
+        output_dir = tmp_path / "storage"
+        assert cli_main([
+            "campaign", "--scale", "0.1", "--output", str(output_dir),
+        ]) == 0
+        assert len(calls) == 1
+        status = original(BuildCache, CommonStorage.load(str(output_dir)))
+        page = (output_dir / "reports" / "campaign.html").read_text()
+        assert (
+            f"persisted build cache: {status['entries']} entries, "
+            f"{status['artifacts']} artifact payload(s), {status['bytes']:,} bytes"
+        ) in page
+
     def test_cache_stats_without_journal_fails_cleanly(self, tmp_path, capsys):
         assert cli_main(["cache-stats", "--cache-dir", str(tmp_path)]) == 2
         assert "no persisted build cache" in capsys.readouterr().err

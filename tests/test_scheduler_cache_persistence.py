@@ -19,6 +19,7 @@ import pytest
 
 from repro._common import StorageError
 from repro.buildsys.builder import BuildResult, PackageBuilder
+from repro.cli import main as cli_main
 from repro.core.runner import RunnerSettings
 from repro.core.spsystem import SPSystem
 from repro.experiments import build_hermes_experiment
@@ -32,6 +33,7 @@ from repro.scheduler.spec import CampaignSpec
 from repro.storage import common_storage
 from repro.storage.artifacts import ArtifactStore
 from repro.storage.common_storage import CommonStorage
+from repro.telemetry import Telemetry
 
 
 CAMPAIGN_KEYS = ["SL5_64bit_gcc4.4", "SL6_64bit_gcc4.4"]
@@ -694,6 +696,28 @@ class TestParentJournalLayout:
         assert reloaded.persist(str(tmp_path)) == []
 
 
+    def test_journal_status_counts_the_entries_the_replay_leaves_live(
+        self, inventory, sl5_64_gcc44, tmp_path, capsys
+    ):
+        """Before its first persist, a journal-layout namespace reports the
+        entries its replay restores (tombstones applied, superseded records
+        counted once), not zero."""
+        self._parent_directory(tmp_path, inventory.all()[:4], sl5_64_gcc44)
+        loaded = CommonStorage.load(str(tmp_path))
+        restored = BuildCache.restore_from(loaded, ArtifactStore())
+        assert restored.statistics.evictions == self.STATISTICS["evictions"]
+        assert BuildCache.journal_status(loaded)["entries"] == len(restored) == 3
+
+        assert cli_main(["cache-stats", "--cache-dir", str(tmp_path)]) == 0
+        rows = dict(
+            line.rsplit(None, 1) for line in capsys.readouterr().out.splitlines()
+            if line.startswith(("live cache entries", "persisted cache entries"))
+        )
+        assert rows == {
+            "live cache entries": "3", "persisted cache entries": "3",
+        }
+
+
 class TestCorruptionRecovery:
     def _persisted(self, inventory, configuration):
         cache, _store = _populated_cache(inventory, configuration)
@@ -1022,6 +1046,44 @@ class TestWarmStartCampaigns:
         assert warm.storage.keys(BuildCache.NAMESPACE) == source_keys
         # The source installation's storage was never modified.
         assert cold.storage.keys(BuildCache.NAMESPACE) == source_keys
+
+
+class TestJournalBytesGauge:
+    """The journal_bytes gauge re-serialises every buildcache document, so
+    persist_build_cache computes it only for a live telemetry bundle."""
+
+    @pytest.fixture()
+    def status_calls(self, monkeypatch):
+        calls = []
+        original = BuildCache.journal_status.__func__
+
+        def counting(cls, storage):
+            calls.append(storage)
+            return original(cls, storage)
+
+        monkeypatch.setattr(BuildCache, "journal_status", classmethod(counting))
+        return calls
+
+    def test_disabled_telemetry_skips_the_status(self, status_calls):
+        system = _fresh_system()
+        system.submit(_hermes_spec(CAMPAIGN_KEYS[:1]))
+        assert system.persist_build_cache() > 0
+        assert status_calls == []
+
+    def test_live_telemetry_sets_the_gauge(self, status_calls):
+        telemetry = Telemetry.create()
+        system = SPSystem(
+            runner_settings=RunnerSettings(simulated_seconds_per_test=30.0),
+            telemetry=telemetry,
+        )
+        system.provision_standard_images()
+        system.register_experiment(build_hermes_experiment(scale=0.2))
+        system.submit(_hermes_spec(CAMPAIGN_KEYS[:1]))
+        assert system.persist_build_cache() > 0
+        assert status_calls == [system.storage]
+        assert telemetry.metrics.gauge_value("journal_bytes") == (
+            BuildCache.journal_status(system.storage)["bytes"]
+        )
 
 
 class TestForkedCampaignJournal:
