@@ -52,6 +52,7 @@ from repro.storage.artifacts import ArtifactStore
 from repro.storage.common_storage import (
     AppendOnlyJournal,
     CommonStorage,
+    StorageNamespace,
     register_mirrored_namespace,
 )
 from repro.telemetry import NULL_TELEMETRY, Telemetry
@@ -520,19 +521,7 @@ class BuildCache:
         cache.statistics.evictions += len(
             namespace.keys(prefix=cls.LEGACY_ENTRY_PREFIX)
         )
-        live: Dict[str, Tuple[str, int, BuildResult]] = {}
-        # The earlier journal layout, replayed in append order; documents of
-        # the live layout (written by a later, possibly interrupted, persist)
-        # take precedence.
-        journal = AppendOnlyJournal(namespace, cls.JOURNAL_PREFIX)
-        for _sequence, document in journal.records():
-            kind = document.get("type") if isinstance(document, dict) else None
-            if kind == "tombstone":
-                live.pop(str(document.get("cache_key")), None)  # type: ignore[union-attr]
-            elif kind == "entry":
-                cls._install_record(live, document)
-        for key in namespace.keys(prefix=cls.ENTRY_PREFIX):
-            cls._install_record(live, namespace.get(key))
+        live = cls._live_records(namespace)
         for key in sorted(live):
             stored_by, shared_hits, result = live[key]
             if not cache._materialise_artifact(result, namespace):
@@ -544,6 +533,28 @@ class BuildCache:
             if shared_hits:
                 cache._shared_counts[key] = shared_hits
         return cache
+
+    @classmethod
+    def _live_records(
+        cls, namespace: StorageNamespace
+    ) -> Dict[str, Tuple[str, int, BuildResult]]:
+        """``{cache key: (stored_by, shared_hits, result)}`` of *namespace*.
+
+        The earlier journal layout is replayed in append order; documents of
+        the live layout (written by a later, possibly interrupted, persist)
+        take precedence.
+        """
+        live: Dict[str, Tuple[str, int, BuildResult]] = {}
+        journal = AppendOnlyJournal(namespace, cls.JOURNAL_PREFIX)
+        for _sequence, document in journal.records():
+            kind = document.get("type") if isinstance(document, dict) else None
+            if kind == "tombstone":
+                live.pop(str(document.get("cache_key")), None)  # type: ignore[union-attr]
+            elif kind == "entry":
+                cls._install_record(live, document)
+        for key in namespace.keys(prefix=cls.ENTRY_PREFIX):
+            cls._install_record(live, namespace.get(key))
+        return live
 
     @staticmethod
     def _install_record(
@@ -571,15 +582,17 @@ class BuildCache:
         Returns the number of entry documents, the number of artifact
         payload documents and the summed JSON footprint in bytes of every
         document in the namespace — the numbers the status pages and the
-        ``cache-stats`` CLI report.  The byte accounting re-serialises every
-        document, so the call is O(cache); the CLI invokes it once per run,
-        right before ``storage.persist`` does strictly more serialisation
-        work anyway.
+        ``cache-stats`` CLI report.  A namespace still in the earlier
+        journal layout counts the entries its replay leaves live.  The byte
+        accounting re-serialises every document, so the call is O(cache);
+        the CLI invokes it once per run, right before ``storage.persist``
+        does strictly more serialisation work anyway.
         """
         status = {"entries": 0, "artifacts": 0, "bytes": 0}
         if cls.NAMESPACE not in storage.namespaces():
             return status
-        for key, document in storage.namespace(cls.NAMESPACE).items():
+        namespace = storage.namespace(cls.NAMESPACE)
+        for key, document in namespace.items():
             if key.startswith(cls.ENTRY_PREFIX):
                 status["entries"] += 1
             elif key.startswith(cls.ARTIFACT_PREFIX):
@@ -587,6 +600,8 @@ class BuildCache:
             status["bytes"] += len(
                 json.dumps(document, sort_keys=True).encode("utf-8")
             )
+        if namespace.keys(prefix=cls.JOURNAL_PREFIX):
+            status["entries"] = len(cls._live_records(namespace))
         return status
 
     def _materialise_artifact(self, entry: BuildResult, namespace) -> bool:
