@@ -547,6 +547,147 @@ class TestStorageWritePathAudit:
         ]
 
 
+class TestPhysicsMemoAudit:
+    """Every memo in the physics code is bounded.
+
+    The physics runs for every cell of every night, so a memo there grows
+    with the number of distinct keys it sees.  Under ``src/repro/hepdata/``
+    and in ``src/repro/_common.py`` this audit rejects ``functools.cache``
+    and any ``functools.lru_cache`` without an explicit finite ``maxsize``
+    (an int literal, or a module-level constant holding one); tier-1 (and
+    so ``scripts/ci.sh``) runs it.
+    """
+
+    AUDITED = (
+        os.path.join("src", "repro", "hepdata"),
+        os.path.join("src", "repro", "_common.py"),
+    )
+
+    def _audited_files(self):
+        for relative in self.AUDITED:
+            path = os.path.join(REPO_ROOT, relative)
+            if path.endswith(".py"):
+                yield path
+                continue
+            for directory, _subdirectories, filenames in os.walk(path):
+                for filename in sorted(filenames):
+                    if filename.endswith(".py"):
+                        yield os.path.join(directory, filename)
+
+    @staticmethod
+    def _memo_kind(node, module_names, aliases):
+        """``"cache"``/``"lru_cache"`` if *node* names that functools memo."""
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in module_names
+            and node.attr in ("cache", "lru_cache")
+        ):
+            return node.attr
+        if isinstance(node, ast.Name):
+            return aliases.get(node.id)
+        return None
+
+    @staticmethod
+    def _value(node, constants):
+        """The value of the constant expression *node*, or None."""
+        try:
+            return eval(  # the audited source is this repository's own
+                compile(ast.Expression(node), "<audit>", "eval"),
+                {"__builtins__": {}},
+                dict(constants),
+            )
+        except Exception:
+            return None
+
+    def _memos(self, source):
+        """``(unbounded, bounded)`` memo line numbers in *source*."""
+        tree = ast.parse(source)
+        module_names, aliases, constants = {"functools"}, {}, {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                module_names.update(
+                    name.asname or name.name
+                    for name in node.names if name.name == "functools"
+                )
+            elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+                aliases.update(
+                    (name.asname or name.name, name.name)
+                    for name in node.names if name.name in ("cache", "lru_cache")
+                )
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+                constants[node.targets[0].id] = self._value(node.value, constants)
+        unbounded, bounded, called = [], [], set()
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            kind = self._memo_kind(node.func, module_names, aliases)
+            if kind is None:
+                continue
+            called.add(id(node.func))
+            sizes = [self._value(size, constants) for size in node.args[:1]] + [
+                self._value(keyword.value, constants)
+                for keyword in node.keywords if keyword.arg == "maxsize"
+            ]
+            finite = sizes and all(
+                type(size) is int and size > 0 for size in sizes
+            )
+            (bounded if kind == "lru_cache" and finite else unbounded).append(
+                node.lineno
+            )
+        for node in ast.walk(tree):
+            if id(node) not in called and self._memo_kind(node, module_names, aliases):
+                # A bare @lru_cache or @cache: no explicit bound.
+                unbounded.append(node.lineno)
+        return sorted(unbounded), sorted(bounded)
+
+    def test_physics_memos_are_bounded(self):
+        violations, bounded = [], []
+        for path in self._audited_files():
+            with open(path, encoding="utf-8") as handle:
+                unbounded_lines, bounded_lines = self._memos(handle.read())
+            relative = os.path.relpath(path, REPO_ROOT)
+            violations += [f"{relative}:{line}" for line in unbounded_lines]
+            bounded += [f"{relative}:{line}" for line in bounded_lines]
+        assert violations == [], (
+            "unbounded memo in the physics code — give functools.lru_cache "
+            "an explicit finite maxsize:\n" + "\n".join(violations)
+        )
+        # The audit recognises the rounding-offset memo's decorator shape.
+        assert any(
+            entry.startswith(os.path.join("src", "repro", "hepdata", "numerics.py"))
+            for entry in bounded
+        )
+
+    def test_the_audit_flags_every_unbounded_shape(self):
+        source = (
+            "import functools\n"
+            "import functools as ft\n"
+            "from functools import cache, lru_cache as memo\n"
+            "SIZE = 1 << 10\n"
+            "NOTHING = None\n"
+            "@functools.lru_cache(maxsize=None)\n"
+            "def a(x): ...\n"
+            "@functools.cache\n"
+            "def b(x): ...\n"
+            "@cache\n"
+            "def c(x): ...\n"
+            "@memo\n"
+            "def d(x): ...\n"
+            "@ft.lru_cache(None)\n"
+            "def e(x): ...\n"
+            "@functools.lru_cache(maxsize=NOTHING)\n"
+            "def f(x): ...\n"
+            "g = functools.lru_cache()(len)\n"
+            "@functools.lru_cache(maxsize=SIZE, typed=True)\n"
+            "def h(x): ...\n"
+            "@memo(256)\n"
+            "def i(x): ...\n"
+        )
+        assert self._memos(source) == ([6, 8, 10, 12, 14, 16, 18], [19, 21])
+
+
 class TestTelemetryPurityAudit:
     """Telemetry observes on monotonic clocks; science stays uninstrumented.
 
