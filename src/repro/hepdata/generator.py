@@ -62,6 +62,9 @@ class GeneratorSettings:
     def __post_init__(self) -> None:
         if self.q2_min <= 0 or self.q2_max <= self.q2_min:
             raise ValidationError("require 0 < q2_min < q2_max")
+        # y is drawn from [Q^2 / s, 0.95], an empty range past 0.95 s.
+        if self.q2_max > 0.95 * 4.0 * LEPTON_BEAM_ENERGY * PROTON_BEAM_ENERGY:
+            raise ValidationError("q2_max must not exceed 0.95 s")
         if self.mean_charged_multiplicity <= 0:
             raise ValidationError("mean charged multiplicity must be positive")
         if self.cross_section_pb <= 0:

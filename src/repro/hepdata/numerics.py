@@ -22,9 +22,10 @@ keys recur many times: every experiment validated on a configuration
 shares its label, and each simulation step numbers its events from zero.
 So the offsets are memoised in a module-level ``functools.lru_cache``
 keyed on exactly those arguments, bounded at :data:`OFFSET_MEMO_SIZE`
-entries.  The memo is typed, because ``1``, ``1.0`` and ``True`` are equal
-keys to an untyped cache but hash to different offsets.  It lives outside
-the frozen :class:`NumericContext`, which stays a picklable value.
+(8,192) entries.  The memo is typed, because ``1``, ``1.0`` and ``True``
+are equal keys to an untyped cache but hash to different offsets.  It
+lives outside the frozen :class:`NumericContext`, which stays a picklable
+value.
 """
 
 from __future__ import annotations
@@ -38,9 +39,9 @@ import numpy as np
 from repro._common import stable_fraction
 
 
-#: Bound of the rounding-offset memo.  One 15-cell night at scale 0.12
-#: computes about 20,000 offsets over about 3,000 distinct keys, so the
-#: bound holds a night's keys with room to spare, at a few MB at most.
+#: Bound of the rounding-offset memo.  One 15-cell campaign at scale 0.12
+#: computes about 21,000 offsets over about 3,200 distinct keys, so the
+#: bound holds a night's keys with room to spare; full, it holds about 2 MB.
 OFFSET_MEMO_SIZE = 8192
 
 
