@@ -140,3 +140,21 @@ def puts(monkeypatch):
 
     monkeypatch.setattr(StorageNamespace, "put", recording_put)
     return recorded
+
+
+@pytest.fixture()
+def journal_status_calls(monkeypatch):
+    """The storage of every ``BuildCache.journal_status`` call from here on."""
+    from repro.scheduler.cache import BuildCache
+
+    recorded = []
+    journal_status = BuildCache.journal_status.__func__
+
+    def recording_journal_status(cls, storage):
+        recorded.append(storage)
+        return journal_status(cls, storage)
+
+    monkeypatch.setattr(
+        BuildCache, "journal_status", classmethod(recording_journal_status)
+    )
+    return recorded

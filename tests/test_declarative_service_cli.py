@@ -434,24 +434,16 @@ class TestCommandLineInterface:
         assert "cache artifact payloads" in output
 
     def test_campaign_output_computes_the_cache_status_once(
-        self, tmp_path, capsys, monkeypatch
+        self, tmp_path, capsys, journal_status_calls
     ):
         """The campaign page's cache line is the one journal_status call of
         a `campaign --output` run, and it describes the persisted cache."""
-        calls = []
-        original = BuildCache.journal_status.__func__
-
-        def counting(cls, storage):
-            calls.append(storage)
-            return original(cls, storage)
-
-        monkeypatch.setattr(BuildCache, "journal_status", classmethod(counting))
         output_dir = tmp_path / "storage"
         assert cli_main([
             "campaign", "--scale", "0.1", "--output", str(output_dir),
         ]) == 0
-        assert len(calls) == 1
-        status = original(BuildCache, CommonStorage.load(str(output_dir)))
+        assert len(journal_status_calls) == 1
+        status = BuildCache.journal_status(CommonStorage.load(str(output_dir)))
         page = (output_dir / "reports" / "campaign.html").read_text()
         assert (
             f"persisted build cache: {status['entries']} entries, "

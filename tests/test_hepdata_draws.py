@@ -28,8 +28,7 @@ BOUNDS = (
     .map(sorted)
     .filter(lambda pair: math.isfinite(pair[1] - pair[0]))
 )
-SCALES = st.floats(min_value=0.0, max_value=1e300, allow_nan=False)
-UPPER = st.floats(min_value=0.0, max_value=1e300, allow_nan=False)
+NON_NEGATIVE = st.floats(min_value=0.0, max_value=1e300, allow_nan=False)
 
 
 def _uniform(bounds):
@@ -61,8 +60,8 @@ def _normal(scale):
 #: Each step is (description, numpy's call, the spelled-out form).
 STEPS = st.one_of(
     BOUNDS.map(_uniform),
-    UPPER.map(_uniform_from_zero),
-    SCALES.map(_normal),
+    NON_NEGATIVE.map(_uniform_from_zero),
+    NON_NEGATIVE.map(_normal),
     st.just(("uniform()", lambda rng: rng.uniform(), lambda rng: rng.random())),
     st.just((
         "uniform(0.0, 1.0)",

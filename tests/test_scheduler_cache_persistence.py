@@ -1052,25 +1052,13 @@ class TestJournalBytesGauge:
     """The journal_bytes gauge re-serialises every buildcache document, so
     persist_build_cache computes it only for a live telemetry bundle."""
 
-    @pytest.fixture()
-    def status_calls(self, monkeypatch):
-        calls = []
-        original = BuildCache.journal_status.__func__
-
-        def counting(cls, storage):
-            calls.append(storage)
-            return original(cls, storage)
-
-        monkeypatch.setattr(BuildCache, "journal_status", classmethod(counting))
-        return calls
-
-    def test_disabled_telemetry_skips_the_status(self, status_calls):
+    def test_disabled_telemetry_skips_the_status(self, journal_status_calls):
         system = _fresh_system()
         system.submit(_hermes_spec(CAMPAIGN_KEYS[:1]))
         assert system.persist_build_cache() > 0
-        assert status_calls == []
+        assert journal_status_calls == []
 
-    def test_live_telemetry_sets_the_gauge(self, status_calls):
+    def test_live_telemetry_sets_the_gauge(self, journal_status_calls):
         telemetry = Telemetry.create()
         system = SPSystem(
             runner_settings=RunnerSettings(simulated_seconds_per_test=30.0),
@@ -1080,7 +1068,7 @@ class TestJournalBytesGauge:
         system.register_experiment(build_hermes_experiment(scale=0.2))
         system.submit(_hermes_spec(CAMPAIGN_KEYS[:1]))
         assert system.persist_build_cache() > 0
-        assert status_calls == [system.storage]
+        assert journal_status_calls == [system.storage]
         assert telemetry.metrics.gauge_value("journal_bytes") == (
             BuildCache.journal_status(system.storage)["bytes"]
         )

@@ -554,8 +554,8 @@ class TestPhysicsMemoAudit:
     with the number of distinct keys it sees.  Under ``src/repro/hepdata/``
     and in ``src/repro/_common.py`` this audit rejects ``functools.cache``
     and any ``functools.lru_cache`` without an explicit finite ``maxsize``
-    (an int literal, or a module-level constant holding one); tier-1 (and
-    so ``scripts/ci.sh``) runs it.
+    (a positive int, literal or computed from module-level constants);
+    tier-1 (and so ``scripts/ci.sh``) runs it.
     """
 
     AUDITED = (
@@ -575,18 +575,10 @@ class TestPhysicsMemoAudit:
                         yield os.path.join(directory, filename)
 
     @staticmethod
-    def _memo_kind(node, module_names, aliases):
-        """``"cache"``/``"lru_cache"`` if *node* names that functools memo."""
-        if (
-            isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)
-            and node.value.id in module_names
-            and node.attr in ("cache", "lru_cache")
-        ):
-            return node.attr
-        if isinstance(node, ast.Name):
-            return aliases.get(node.id)
-        return None
+    def _is_lru_cache(node):
+        return (isinstance(node, ast.Name) and node.id == "lru_cache") or (
+            isinstance(node, ast.Attribute) and node.attr == "lru_cache"
+        )
 
     @staticmethod
     def _value(node, constants):
@@ -603,43 +595,41 @@ class TestPhysicsMemoAudit:
     def _memos(self, source):
         """``(unbounded, bounded)`` memo line numbers in *source*."""
         tree = ast.parse(source)
-        module_names, aliases, constants = {"functools"}, {}, {}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                module_names.update(
-                    name.asname or name.name
-                    for name in node.names if name.name == "functools"
-                )
-            elif isinstance(node, ast.ImportFrom) and node.module == "functools":
-                aliases.update(
-                    (name.asname or name.name, name.name)
-                    for name in node.names if name.name in ("cache", "lru_cache")
-                )
+        constants = {}
         for node in tree.body:
             if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
                 constants[node.targets[0].id] = self._value(node.value, constants)
-        unbounded, bounded, called = [], [], set()
+        unbounded, bounded, calls = [], [], set()
         for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            kind = self._memo_kind(node.func, module_names, aliases)
-            if kind is None:
-                continue
-            called.add(id(node.func))
-            sizes = [self._value(size, constants) for size in node.args[:1]] + [
-                self._value(keyword.value, constants)
-                for keyword in node.keywords if keyword.arg == "maxsize"
-            ]
-            finite = sizes and all(
-                type(size) is int and size > 0 for size in sizes
-            )
-            (bounded if kind == "lru_cache" and finite else unbounded).append(
-                node.lineno
-            )
-        for node in ast.walk(tree):
-            if id(node) not in called and self._memo_kind(node, module_names, aliases):
-                # A bare @lru_cache or @cache: no explicit bound.
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                # functools.cache by name, or lru_cache under another name.
+                if any(
+                    name.name == "cache" or (name.name == "lru_cache" and name.asname)
+                    for name in node.names
+                ):
+                    unbounded.append(node.lineno)
+            elif (
+                isinstance(node, ast.Attribute)
+                and node.attr == "cache"
+                and getattr(node.value, "id", None) == "functools"
+            ):
                 unbounded.append(node.lineno)
+            elif isinstance(node, ast.Call) and self._is_lru_cache(node.func):
+                calls.add(id(node.func))
+                sizes = [
+                    self._value(size, constants)
+                    for size in node.args[:1] + [
+                        keyword.value
+                        for keyword in node.keywords if keyword.arg == "maxsize"
+                    ]
+                ]
+                finite = sizes and all(type(size) is int and size > 0 for size in sizes)
+                (bounded if finite else unbounded).append(node.lineno)
+        # A bare @lru_cache: no explicit bound.
+        unbounded += [
+            node.lineno for node in ast.walk(tree)
+            if self._is_lru_cache(node) and id(node) not in calls
+        ]
         return sorted(unbounded), sorted(bounded)
 
     def test_physics_memos_are_bounded(self):
@@ -663,29 +653,28 @@ class TestPhysicsMemoAudit:
     def test_the_audit_flags_every_unbounded_shape(self):
         source = (
             "import functools\n"
-            "import functools as ft\n"
-            "from functools import cache, lru_cache as memo\n"
+            "from functools import cache\n"
+            "from functools import lru_cache as memo\n"
             "SIZE = 1 << 10\n"
             "NOTHING = None\n"
             "@functools.lru_cache(maxsize=None)\n"
             "def a(x): ...\n"
             "@functools.cache\n"
             "def b(x): ...\n"
-            "@cache\n"
+            "@functools.lru_cache\n"
             "def c(x): ...\n"
-            "@memo\n"
+            "@functools.lru_cache(None)\n"
             "def d(x): ...\n"
-            "@ft.lru_cache(None)\n"
-            "def e(x): ...\n"
             "@functools.lru_cache(maxsize=NOTHING)\n"
-            "def f(x): ...\n"
-            "g = functools.lru_cache()(len)\n"
+            "def e(x): ...\n"
+            "f = functools.lru_cache()(len)\n"
             "@functools.lru_cache(maxsize=SIZE, typed=True)\n"
+            "def g(x): ...\n"
+            "from functools import lru_cache\n"
+            "@lru_cache(256)\n"
             "def h(x): ...\n"
-            "@memo(256)\n"
-            "def i(x): ...\n"
         )
-        assert self._memos(source) == ([6, 8, 10, 12, 14, 16, 18], [19, 21])
+        assert self._memos(source) == ([2, 3, 6, 8, 10, 12, 14, 16], [17, 20])
 
 
 class TestTelemetryPurityAudit:
