@@ -53,9 +53,9 @@ def inventory():
     )
 
 
-def _fresh_system():
+def _fresh_system(**options):
     system = SPSystem(
-        runner_settings=RunnerSettings(simulated_seconds_per_test=30.0)
+        runner_settings=RunnerSettings(simulated_seconds_per_test=30.0), **options
     )
     system.provision_standard_images()
     system.register_experiment(build_hermes_experiment(scale=0.2))
@@ -695,7 +695,6 @@ class TestParentJournalLayout:
         assert again.persist_to(reloaded) == 0
         assert reloaded.persist(str(tmp_path)) == []
 
-
     def test_journal_status_counts_the_entries_the_replay_leaves_live(
         self, inventory, sl5_64_gcc44, tmp_path, capsys
     ):
@@ -1060,12 +1059,7 @@ class TestJournalBytesGauge:
 
     def test_live_telemetry_sets_the_gauge(self, journal_status_calls):
         telemetry = Telemetry.create()
-        system = SPSystem(
-            runner_settings=RunnerSettings(simulated_seconds_per_test=30.0),
-            telemetry=telemetry,
-        )
-        system.provision_standard_images()
-        system.register_experiment(build_hermes_experiment(scale=0.2))
+        system = _fresh_system(telemetry=telemetry)
         system.submit(_hermes_spec(CAMPAIGN_KEYS[:1]))
         assert system.persist_build_cache() > 0
         assert journal_status_calls == [system.storage]
