@@ -59,18 +59,16 @@ def ensure_identifier(value: str, what: str = "identifier") -> str:
     return value
 
 
-def stable_hash(*parts: object, digits: int = 16) -> int:
-    """Return a deterministic integer hash of *parts*.
+def stable_hash(*parts: object) -> int:
+    """Return a deterministic 64-bit integer hash of *parts*.
 
     The hash is stable across processes and Python versions, unlike the
     built-in ``hash``.  It is used to derive reproducible pseudo-random
     outcomes, e.g. which synthetic package fails under which compiler.
+    It is the first 8 bytes of the sha256 digest, read big-endian.
     """
     payload = "\x1f".join(map(str, parts)).encode("utf-8")
-    if digits == 16:
-        # The first 16 hex digits are the first 8 bytes of the digest.
-        return int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
-    return int(hashlib.sha256(payload).hexdigest()[:digits], 16)
+    return int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
 
 
 def stable_fraction(*parts: object) -> float:

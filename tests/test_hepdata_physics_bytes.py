@@ -229,21 +229,17 @@ class TestChainBytes:
 
 
 class TestStableHashBytes:
-    @pytest.mark.parametrize("parts, digits, expected", [
-        (("a", 1), 16, 9484037261928657086),
-        ((1,), 16, 7748076420210162913),
-        ((1.0,), 16, 15059854036765921999),
-        ((True,), 16, 4376522228412396763),
-        (("label", 0, "tag", 3), 16, 3416956453774463075),
-        ((), 16, 16406829232824261652),
-        (("x",), 1, 2),
-        (("x",), 8, 762385986),
-        (("x",), 15, 204651429991967492),
-        (("x",), 20, 214592577855257305153890),
-        (("x",), 64, 20553885541631119247001227156676802314981306735372789521402284493774173915265),
+    @pytest.mark.parametrize("parts, expected", [
+        (("a", 1), 9484037261928657086),
+        ((1,), 7748076420210162913),
+        ((1.0,), 15059854036765921999),
+        ((True,), 4376522228412396763),
+        (("label", 0, "tag", 3), 3416956453774463075),
+        ((), 16406829232824261652),
+        (("x",), 3274422879871479876),
     ])
-    def test_stable_hash(self, parts, digits, expected):
-        assert stable_hash(*parts, digits=digits) == expected
+    def test_stable_hash(self, parts, expected):
+        assert stable_hash(*parts) == expected
 
     @pytest.mark.parametrize("parts, expected", [
         ((1,), "0x1.ae1ac9cffcd3fp-2"),
