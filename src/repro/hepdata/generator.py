@@ -62,9 +62,6 @@ class GeneratorSettings:
     def __post_init__(self) -> None:
         if self.q2_min <= 0 or self.q2_max <= self.q2_min:
             raise ValidationError("require 0 < q2_min < q2_max")
-        # y is drawn from [Q^2 / s, 0.95], an empty range past 0.95 s.
-        if self.q2_max > 0.95 * 4.0 * LEPTON_BEAM_ENERGY * PROTON_BEAM_ENERGY:
-            raise ValidationError("q2_max must not exceed 0.95 s")
         if self.mean_charged_multiplicity <= 0:
             raise ValidationError("mean charged multiplicity must be positive")
         if self.cross_section_pb <= 0:
@@ -99,6 +96,8 @@ class MonteCarloGenerator:
             q2 = self._sample_q2(rng)
             # y is bounded below by the kinematic limit Q^2 = s x y with x <= 1.
             y_min = max(q2 / s, 0.005)
+            if y_min > 0.95:
+                raise ValidationError(f"Q^2 = {q2} GeV^2 leaves no room for y <= 0.95")
             y = y_min + (0.95 - y_min) * rng.random()
             x = q2 / (s * y)
             x = min(max(x, 1e-5), 0.99)

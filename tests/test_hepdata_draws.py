@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro._common import ValidationError
-from repro.hepdata.generator import GeneratorSettings
+from repro.hepdata.generator import GeneratorSettings, MonteCarloGenerator
 
 SEEDS = st.integers(min_value=0, max_value=2 ** 64 - 1)
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -109,9 +109,9 @@ def test_the_physics_constants_match_over_a_long_stream(seed):
     assert rewritten.bit_generator.state == reference.bit_generator.state
 
 
-def test_a_q2_range_past_the_y_limit_is_rejected():
-    """numpy's uniform(y_min, 0.95) raised once Q^2 / s passed 0.95; the
-    spelled-out form would not, so the settings reject that range."""
-    GeneratorSettings(q2_min=4.0, q2_max=96000.0)
+def test_a_q2_draw_past_the_y_limit_is_rejected():
+    """numpy's uniform(y_min, 0.95) raised once a drawn Q^2 / s passed 0.95;
+    the spelled-out form would not, so generate() raises there itself."""
+    generator = MonteCarloGenerator(GeneratorSettings(q2_min=99000.0, q2_max=100000.0))
     with pytest.raises(ValidationError):
-        GeneratorSettings(q2_min=99000.0, q2_max=100000.0)
+        generator.generate(1)
