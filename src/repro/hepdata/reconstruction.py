@@ -160,8 +160,6 @@ class EventReconstruction:
             key=lambda particle: particle.four_vector.pt,
             reverse=True,
         )
-        if not hadrons or hadrons[0].four_vector.pt < 0.5:
-            return []
         # Each hadron's direction, computed once rather than once per seed:
         # the first seed's cone visits every hadron.
         etas = [self._pseudorapidity(hadron.four_vector) for hadron in hadrons]
