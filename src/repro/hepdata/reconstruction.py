@@ -21,6 +21,9 @@ from repro.hepdata.event import Event, EventRecord, FourVector, Particle
 from repro.hepdata.generator import LEPTON_BEAM_ENERGY, PROTON_BEAM_ENERGY
 from repro.hepdata.numerics import NumericContext, REFERENCE_CONTEXT
 
+#: Transverse momentum, in GeV, a hadron needs to seed a jet cone.
+JET_SEED_MIN_PT = 0.5
+
 
 @dataclass(frozen=True)
 class ReconstructedKinematics:
@@ -160,6 +163,8 @@ class EventReconstruction:
             key=lambda particle: particle.four_vector.pt,
             reverse=True,
         )
+        if not hadrons or hadrons[0].four_vector.pt < JET_SEED_MIN_PT:
+            return []
         # Each hadron's direction, computed once rather than once per seed:
         # the first seed's cone visits every hadron.
         etas = [self._pseudorapidity(hadron.four_vector) for hadron in hadrons]
@@ -169,7 +174,7 @@ class EventReconstruction:
         for seed_index, seed in enumerate(hadrons):
             if used[seed_index]:
                 continue
-            if seed.four_vector.pt < 0.5:
+            if seed.four_vector.pt < JET_SEED_MIN_PT:
                 break
             members = [seed_index]
             used[seed_index] = True
