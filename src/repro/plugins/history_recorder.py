@@ -17,6 +17,7 @@ but only when a ledger exists, mirroring the manual
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING
 
 from repro.scheduler.lifecycle import (
@@ -44,7 +45,15 @@ class HistoryRecorderPlugin(LifecycleObserver):
     events = frozenset({EVENT_CAMPAIGN_FINISHED, EVENT_EVOLUTION_RECORDED})
 
     def __init__(self, system: "SPSystem") -> None:
-        self.system = system
+        # Weak: the system owns this plugin through its lifecycle bus, and a
+        # strong reference back would make a cycle that only a full garbage
+        # collection frees, keeping the system's storage alive until then.
+        self._system = weakref.ref(system)
+
+    @property
+    def system(self) -> "SPSystem":
+        """The system whose campaigns and evolutions this plugin records."""
+        return self._system()  # type: ignore[return-value]
 
     def handle(self, event: LifecycleEvent, context: EventContext) -> None:
         if event.name == EVENT_EVOLUTION_RECORDED:

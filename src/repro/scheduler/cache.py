@@ -299,6 +299,9 @@ class BuildCache:
         # increasing tick, so eviction order is deterministic.
         self._recency: Dict[str, int] = {}
         self._tick = 0
+        #: :meth:`entry_size_bytes` of each entry, computed on first use and
+        #: dropped when the entry is stored again, evicted or cleared.
+        self._sizes: Dict[str, int] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -345,6 +348,7 @@ class BuildCache:
         """Record *result* under its content-digest key and return the key."""
         key = package_identity_digest(package, configuration)
         self._entries[key] = self._replay(result, package)
+        self._sizes.pop(key, None)
         # The first storing experiment stays the donor even if the entry is
         # later re-stored (the content is identical by construction).
         self._owners.setdefault(key, package.experiment)
@@ -367,12 +371,14 @@ class BuildCache:
         The next :meth:`persist_to` deletes the dropped entries' documents.
         """
         self._entries.clear()
+        self._sizes.clear()
         self._recency.clear()
         self._owners.clear()
         self._shared_counts.clear()
 
     def _evict(self, key: str) -> None:
         del self._entries[key]
+        self._sizes.pop(key, None)
         self._recency.pop(key, None)
         self._owners.pop(key, None)
         self._shared_counts.pop(key, None)
@@ -388,9 +394,16 @@ class BuildCache:
         tarball_bytes = 0 if entry.tarball is None else entry.tarball.size_bytes
         return document_bytes + tarball_bytes
 
+    def _entry_size(self, key: str) -> int:
+        """:meth:`entry_size_bytes` of entry *key*, serialised once per store."""
+        size = self._sizes.get(key)
+        if size is None:
+            size = self._sizes[key] = self.entry_size_bytes(self._entries[key])
+        return size
+
     def total_size_bytes(self) -> int:
         """Persisted footprint of the whole cache (documents plus tarballs)."""
-        return sum(self.entry_size_bytes(entry) for entry in self._entries.values())
+        return sum(self._entry_size(key) for key in self._entries)
 
     def enforce_budget(self, max_bytes: int) -> int:
         """Evict entries until the cache fits *max_bytes*, sparing donors.
@@ -419,7 +432,7 @@ class BuildCache:
         ):
             if total <= max_bytes:
                 break
-            total -= self.entry_size_bytes(self._entries[key])
+            total -= self._entry_size(key)
             self._evict(key)
             evicted += 1
         return evicted

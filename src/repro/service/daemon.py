@@ -34,6 +34,7 @@ exactly the same code path as a directly-submitted one.
 from __future__ import annotations
 
 import threading
+import weakref
 from typing import Callable, Dict, Iterable, List, Optional
 
 from repro._common import ReproError, SchedulingError
@@ -120,7 +121,12 @@ class ValidationService:
         #: Dispatch order (submission IDs) — the serial-replay recipe that
         #: reproduces this daemon's output byte-for-byte.
         self.dispatch_order: List[str] = []
-        self.heartbeat = HeartbeatWorker(self, interval=heartbeat_interval)
+        # A proxy, not self: the worker's back-reference would otherwise make
+        # a cycle that only a full garbage collection frees, keeping the
+        # system's storage alive until then.
+        self.heartbeat = HeartbeatWorker(
+            weakref.proxy(self), interval=heartbeat_interval
+        )
         if warm_start:
             # Baseline the shared cache before any accounting delta is
             # taken: a mid-campaign warm-start probe swapping the cache
@@ -140,7 +146,7 @@ class ValidationService:
             for key in self._namespace.keys(prefix=self.QUEUED_PREFIX)
         ]
         for submission in sorted(queued, key=lambda item: item.sequence):
-            submission._service = self
+            submission._service = weakref.ref(self)
             self._counter = max(self._counter, submission.sequence)
             self._submissions[submission.submission_id] = submission
             self._ensure_tenant(submission.tenant)
@@ -218,7 +224,7 @@ class ValidationService:
                 spec=spec,
                 priority=priority,
                 sequence=self._counter,
-                _service=self,
+                _service=weakref.ref(self),
             )
             self._submissions[submission.submission_id] = submission
             self.queue.enqueue(submission)

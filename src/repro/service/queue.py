@@ -29,6 +29,7 @@ submissions is the daemon's concern (:mod:`repro.service.daemon`).
 from __future__ import annotations
 
 import threading
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Mapping, Optional
@@ -68,9 +69,13 @@ class Submission:
     error: Optional[str] = None
     #: Matrix cells the completed campaign executed.
     cells: int = 0
-    #: The owning daemon, when this ticket came from a live one (never
-    #: serialised); lets callers cancel on the handle.
-    _service: Optional[object] = field(default=None, repr=False, compare=False)
+    #: A weak reference to the owning daemon, when this ticket came from a
+    #: live one (never serialised); lets callers cancel on the handle.  Weak,
+    #: because the daemon holds its submissions: a strong one would make a
+    #: cycle that only a full garbage collection frees.
+    _service: Optional["weakref.ReferenceType"] = field(
+        default=None, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.priority not in PRIORITY_LANES:
@@ -81,12 +86,13 @@ class Submission:
 
     def cancel(self) -> "Submission":
         """Cancel this submission on the daemon that issued it."""
-        if self._service is None:
+        service = self._service() if self._service is not None else None
+        if service is None:
             raise SchedulingError(
                 f"submission {self.submission_id} is detached from its "
                 "daemon; cancel through the service instead"
             )
-        return self._service.cancel(self.submission_id)  # type: ignore[attr-defined]
+        return service.cancel(self.submission_id)
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-serialisable view; :meth:`from_dict` round-trips it."""

@@ -33,9 +33,12 @@ class HeartbeatWorker:
     """Background thread beating a :class:`ValidationService`'s telemetry.
 
     Each beat calls ``service.beat(source="worker")`` which emits one
-    ``heartbeat`` lifecycle event.  Failures are counted and self-reported
-    through :meth:`status`; after *max_consecutive_failures* in a row the
-    thread exits and waits for :meth:`supervise` to restart it.
+    ``heartbeat`` lifecycle event.  *service* may be a ``weakref.proxy``
+    (the daemon passes one to itself, so the two make no reference cycle);
+    the thread exits once such a service is released.  Failures are counted
+    and self-reported through :meth:`status`; after
+    *max_consecutive_failures* in a row the thread exits and waits for
+    :meth:`supervise` to restart it.
     """
 
     def __init__(
@@ -79,6 +82,10 @@ class HeartbeatWorker:
         while not self._stop.wait(self.interval):
             try:
                 self.service.beat(source="worker")
+            except ReferenceError:
+                # A weak proxy to a service that was released: there is
+                # nothing left to beat.
+                return
             except Exception as error:  # noqa: BLE001 - self-reporting worker
                 with self._lock:
                     self.failures += 1

@@ -8,8 +8,16 @@ JSON-serialisable documents.  It works purely in memory by default and can
 optionally persist itself to a directory, which the examples use to leave
 inspectable output behind.  A persist writes only the files whose bytes are
 new or changed, each through a temp file renamed over its target, so a
-process killed mid-persist leaves every file with its old or its new bytes
-and repeated persists of a growing storage cost O(changed files).
+process killed mid-persist leaves every file with its old or its new bytes.
+
+A storage is *bound* to the directory it last matched: the one it was
+loaded from, or the one its last completed persist wrote.  Each namespace
+records the keys put or deleted since then (its dirty keys), so a persist
+back into the bound directory serialises only the documents of dirty keys
+and of keys whose file is missing, and repeated persists of a growing
+storage cost O(changed documents), not O(storage).  The flip side: a file
+edited behind the storage's back stays as edited until its document is
+put again, while a deleted one is written again by the next persist.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from __future__ import annotations
 import json
 import os
 import secrets
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro._common import StorageError, ensure_identifier
 
@@ -91,6 +99,11 @@ class StorageNamespace:
     def __init__(self, name: str) -> None:
         self.name = ensure_identifier(name, "namespace name")
         self._documents: Dict[str, object] = {}
+        #: Keys put or deleted since the storage last matched its bound
+        #: directory; :meth:`CommonStorage.persist` compares only their files
+        #: (and missing ones) there.  A document mutated in place without a
+        #: put is not dirty, so its change would never reach the disk.
+        self._dirty: Set[str] = set()
 
     def put(self, key: str, document: object, overwrite: bool = True) -> None:
         """Store *document* under *key*.
@@ -109,6 +122,16 @@ class StorageNamespace:
         if not overwrite and key in self._documents:
             raise StorageError(f"{self.name}/{key} already exists")
         self._documents[key] = document
+        self._dirty.add(key)
+
+    def _fill(self, key: str, document: object) -> None:
+        """Hold *document*, just read from this namespace's directory.
+
+        Unlike :meth:`put` it skips the serialisability check, which cannot
+        fail on what ``json.loads`` returns, and leaves *key* clean: the
+        file already holds the document.
+        """
+        self._documents[ensure_identifier(key, "storage key")] = document
 
     def get(self, key: str) -> object:
         """Return the document stored under *key*."""
@@ -126,6 +149,7 @@ class StorageNamespace:
         if key not in self._documents:
             raise StorageError(f"no document {self.name}/{key}")
         del self._documents[key]
+        self._dirty.add(key)
 
     def keys(self, prefix: str = "") -> List[str]:
         """Return all keys, optionally restricted to a prefix, sorted."""
@@ -144,6 +168,9 @@ class CommonStorage:
 
     def __init__(self, namespaces: Iterable[str] = DEFAULT_NAMESPACES) -> None:
         self._namespaces: Dict[str, StorageNamespace] = {}
+        #: Absolute path of the directory the storage last matched (set by
+        #: :meth:`load` and by a :meth:`persist` that completes), or None.
+        self._directory: Optional[str] = None
         for name in namespaces:
             self.create_namespace(name)
 
@@ -200,6 +227,17 @@ class CommonStorage:
         and never a truncated file.  There is no fsync: a power loss may
         still lose the last writes.
 
+        Into the storage's bound directory (the one :meth:`load` read or the
+        last completed persist wrote), only the documents of dirty keys (put
+        or deleted since) and of keys whose file is missing from the
+        directory listing are serialised and compared; every other file is
+        taken to hold its document already.  So a file deleted behind the
+        storage's back is written again, but one edited behind its back is
+        left as edited until its document is put again.  Into any other
+        directory every document is serialised and compared.  A persist
+        that completes binds the storage to *directory* and clears the dirty
+        keys; one that raises keeps them, so a retry writes them.
+
         HTML page documents (the ``{"html": ...}`` shape the status web
         pages use) are written as browsable ``.html`` files instead, so the
         relative links between persisted pages (``runpage_<id>.html``,
@@ -220,7 +258,10 @@ class CommonStorage:
         segment files of :data:`JOURNAL_SEGMENT_RECORDS` records each, so
         persisting a large journal writes O(segments) files, not one per
         record; :meth:`load` explodes the segments back into individual
-        record documents.
+        record documents.  Segment files are serialised and compared on
+        every persist, dirty or not, so a journal loaded from the older
+        one-file-per-record layout is rewritten as segments before the
+        mirror removes the record files.
 
         Returns the paths of the files it wrote (new or changed), so a
         persist of an unchanged storage returns ``[]``.  Used by the
@@ -230,16 +271,18 @@ class CommonStorage:
         mirrored = set(
             MIRRORED_NAMESPACES if mirror_namespaces is None else mirror_namespaces
         )
+        target = os.path.abspath(directory)
+        bound = target == self._directory
         written: List[str] = []
         for namespace_name in self.namespaces():
             namespace = self.namespace(namespace_name)
             target_dir = os.path.join(directory, namespace_name)
             os.makedirs(target_dir, exist_ok=True)
-            expected = set()
-            for filename, data in _namespace_files(namespace):
-                expected.add(filename)
+            present = set(os.listdir(target_dir)) if bound else None
+            expected, candidates = _namespace_files(namespace, present)
+            for filename, document in candidates:
                 path = os.path.join(target_dir, filename)
-                if _write_if_changed(path, data):
+                if _write_if_changed(path, _file_bytes(filename, document)):
                     written.append(path)
             if namespace_name not in mirrored:
                 continue
@@ -248,6 +291,9 @@ class CommonStorage:
                     continue
                 if filename.endswith(".json") or filename.endswith(".html"):
                     os.remove(os.path.join(target_dir, filename))
+        for namespace in self._namespaces.values():
+            namespace._dirty.clear()
+        self._directory = target
         return written
 
     @classmethod
@@ -259,6 +305,9 @@ class CommonStorage:
         With *namespaces*, only the named namespace directories are read —
         e.g. warm-starting a build cache needs just ``buildcache``, not the
         accumulated run documents and report pages of every past campaign.
+        The storage comes back bound to *directory* with no dirty keys, so
+        persisting it back unchanged serialises nothing (journal segments
+        apart) and writes nothing.
         """
         if not os.path.isdir(directory):
             raise StorageError(f"no such storage directory: {directory}")
@@ -287,12 +336,13 @@ class CommonStorage:
                         for record_key, record in sorted(
                             document[_SEGMENT_SENTINEL].items()
                         ):
-                            namespace.put(record_key, record)
+                            namespace._fill(record_key, record)
                     else:
-                        namespace.put(key, document)
+                        namespace._fill(key, document)
                 elif filename.endswith(".html"):
                     key = filename[:-len(".html")]
-                    namespace.put(key, {"html": _read_text(path)})
+                    namespace._fill(key, {"html": _read_text(path)})
+        storage._directory = os.path.abspath(directory)
         return storage
 
 
@@ -300,8 +350,8 @@ def _is_html_document(document: object) -> bool:
     """True for the ``{"html": <str>}`` documents holding rendered pages."""
     return (
         isinstance(document, dict)
-        and set(document) == {"html"}
-        and isinstance(document["html"], str)
+        and len(document) == 1
+        and isinstance(document.get("html"), str)
     )
 
 
@@ -314,19 +364,31 @@ def _is_segment_document(document: object) -> bool:
     )
 
 
-def _namespace_files(namespace: StorageNamespace) -> Iterator[Tuple[str, bytes]]:
-    """``(filename, bytes)`` of each file :meth:`CommonStorage.persist`
-    writes for *namespace*, serialised one at a time."""
+def _namespace_files(
+    namespace: StorageNamespace, present: Optional[Set[str]] = None
+) -> Tuple[Set[str], List[Tuple[str, object]]]:
+    """The files :meth:`CommonStorage.persist` keeps for *namespace*.
+
+    Returns the name of every file the namespace's documents map to, and
+    the ``(filename, document)`` pairs whose bytes the persist compares
+    with their file, in write order: by key, journal segments last.  With
+    *present* (the directory listing, when the storage is bound to the
+    directory) a document is compared only when its key is dirty or its
+    file is missing; without it every document is.  Segments always are.
+    """
     record_prefix = JOURNAL_NAMESPACE_PREFIXES.get(namespace.name)
+    dirty = namespace._dirty
+    expected: Set[str] = set()
+    candidates: List[Tuple[str, object]] = []
     journal_records: Dict[str, object] = {}
     for key, document in namespace.items():
         if record_prefix is not None and _is_journal_record_key(key, record_prefix):
             journal_records[key] = document
-        elif _is_html_document(document):
-            html: str = document["html"]  # type: ignore[index]
-            yield f"{key}.html", html.encode("utf-8")
-        else:
-            yield f"{key}.json", _json_bytes(document)
+            continue
+        filename = f"{key}.html" if _is_html_document(document) else f"{key}.json"
+        expected.add(filename)
+        if present is None or key in dirty or filename not in present:
+            candidates.append((filename, document))
     # Numeric sequence order, not lexicographic: legacy unpadded record keys
     # must be batched (and replayed) in append order.
     record_keys = sorted(
@@ -338,9 +400,20 @@ def _namespace_files(namespace: StorageNamespace) -> Iterator[Tuple[str, bytes]]
         # Named after the first record's sequence suffix, so the
         # lexicographic file order is the journal's append order.
         suffix = chunk[0][len(record_prefix):]  # type: ignore[arg-type]
-        yield f"{record_prefix}segment_{suffix}.json", _json_bytes(
-            {_SEGMENT_SENTINEL: {key: journal_records[key] for key in chunk}}
+        filename = f"{record_prefix}segment_{suffix}.json"
+        expected.add(filename)
+        candidates.append(
+            (filename, {_SEGMENT_SENTINEL: {key: journal_records[key] for key in chunk}})
         )
+    return expected, candidates
+
+
+def _file_bytes(filename: str, document: object) -> bytes:
+    """The bytes of *filename*, which :func:`_namespace_files` mapped
+    *document* to: a page's HTML, or the document's JSON."""
+    if filename.endswith(".html"):
+        return document["html"].encode("utf-8")  # type: ignore[index]
+    return _json_bytes(document)
 
 
 def _json_bytes(document: object) -> bytes:

@@ -547,6 +547,80 @@ class TestStorageWritePathAudit:
         ]
 
 
+class TestStorageDirtyKeyAudit:
+    """Only the storage module touches a namespace's documents and dirty keys.
+
+    ``CommonStorage.persist`` writes back, into the directory a storage was
+    loaded from, only the keys ``put`` or ``delete`` marked dirty.  A write
+    to ``StorageNamespace._documents`` (or ``_dirty``) from anywhere else
+    would bypass that bookkeeping and be left off disk without a sound, so
+    this audit rejects every read or assignment of either attribute under
+    ``src/`` outside ``src/repro/storage/common_storage.py``.  Tier-1 (and
+    so ``scripts/ci.sh``) runs it.
+    """
+
+    OWNER = os.path.join("src", "repro", "storage", "common_storage.py")
+    ATTRIBUTES = {"_documents", "_dirty"}
+    REFLECTION = {"getattr", "setattr", "delattr", "hasattr"}
+
+    def _accesses(self, source):
+        """Line numbers of each access to a guarded attribute in *source*:
+        ``x._documents`` in any context, or ``getattr(x, "_dirty")`` and
+        its siblings."""
+        found = []
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute) and node.attr in self.ATTRIBUTES:
+                found.append(node.lineno)
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in self.REFLECTION
+                and len(node.args) > 1
+                and isinstance(node.args[1], ast.Constant)
+                and node.args[1].value in self.ATTRIBUTES
+            ):
+                found.append(node.lineno)
+        return sorted(found)
+
+    def test_only_the_storage_module_touches_documents_and_dirty_keys(self):
+        violations = []
+        owner_accesses = 0
+        for directory, _subdirectories, filenames in os.walk(
+            os.path.join(REPO_ROOT, "src")
+        ):
+            for filename in filenames:
+                if not filename.endswith(".py"):
+                    continue
+                path = os.path.join(directory, filename)
+                relative = os.path.relpath(path, REPO_ROOT)
+                with open(path, encoding="utf-8") as handle:
+                    lines = self._accesses(handle.read())
+                if relative == self.OWNER:
+                    owner_accesses += len(lines)
+                    continue
+                violations += [f"{relative}:{line}" for line in lines]
+        assert violations == [], (
+            "StorageNamespace._documents or _dirty touched outside "
+            f"{self.OWNER} — go through put/get/delete instead, or persist "
+            "will not write the change:\n" + "\n".join(violations)
+        )
+        # The audit still recognises the accesses of the module it exempts.
+        assert owner_accesses > 0
+
+    def test_the_audit_catches_reads_writes_and_reflection(self):
+        source = (
+            "namespace._documents[key] = document\n"
+            "documents = storage.namespace('results')._documents\n"
+            "namespace._dirty.clear()\n"
+            "del namespace._documents[key]\n"
+            "getattr(namespace, '_documents')\n"
+            "setattr(namespace, '_dirty', set())\n"
+            "namespace.put(key, document)\n"
+            "documents = namespace.items()\n"
+        )
+        assert self._accesses(source) == [1, 2, 3, 4, 5, 6]
+
+
 class TestPhysicsMemoAudit:
     """Every memo in the physics code is bounded.
 
