@@ -661,21 +661,23 @@ def _cmd_campaign(arguments: argparse.Namespace) -> int:
         )
     if arguments.output:
         appended_entries = 0
+        cache_journal = None
         if spec.use_cache:
             # Persist before the pages render, so the campaign page can
             # report the cache it will actually travel with.
             appended_entries = system.persist_build_cache(
                 max_bytes=spec.cache_budget_bytes
             )
+            # With --telemetry the persist computed the status already.
+            cache_journal = (
+                system.persisted_cache_status
+                or BuildCache.journal_status(system.storage)
+            )
         pages = StatusPageGenerator(system.storage, system.catalog)
         history_on = system.history is not None
         pages.campaign_page(
             campaign,
-            cache_journal=(
-                BuildCache.journal_status(system.storage)
-                if spec.use_cache
-                else None
-            ),
+            cache_journal=cache_journal,
             history_link=history_on,
             tickets=(
                 intervention_rows(open_tickets)

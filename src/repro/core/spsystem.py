@@ -210,6 +210,10 @@ class SPSystem:
         self.workflow = PreservationWorkflow()
         self.build_cache = BuildCache(self.artifact_store)
         self.last_campaign: Optional[CampaignResult] = None
+        #: ``BuildCache.journal_status`` of the cache the last
+        #: :meth:`persist_build_cache` put, when live telemetry computed it
+        #: for the ``journal_bytes`` gauge; None otherwise.
+        self.persisted_cache_status: Optional[Dict[str, int]] = None
         self._campaign_counter = 0
         self._experiments: Dict[str, ExperimentDefinition] = {}
         self._configurations: Dict[str, EnvironmentConfiguration] = {}
@@ -686,11 +690,17 @@ class SPSystem:
         self.telemetry.metrics.increment(
             "journal_entries_persisted_total", amount=added
         )
-        if self.telemetry.enabled:
-            # journal_status re-serialises every buildcache document, so
-            # the gauge is computed only for a live telemetry bundle.
+        # journal_status re-serialises every buildcache document, so the
+        # gauge is computed only for a live telemetry bundle, and kept for a
+        # caller that reports the status too.
+        self.persisted_cache_status = (
+            BuildCache.journal_status(self.storage)
+            if self.telemetry.enabled
+            else None
+        )
+        if self.persisted_cache_status is not None:
             self.telemetry.metrics.set_gauge(
-                "journal_bytes", BuildCache.journal_status(self.storage)["bytes"]
+                "journal_bytes", self.persisted_cache_status["bytes"]
             )
         return added
 

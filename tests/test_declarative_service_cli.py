@@ -450,6 +450,35 @@ class TestCommandLineInterface:
             f"{status['artifacts']} artifact payload(s), {status['bytes']:,} bytes"
         ) in page
 
+    def test_campaign_output_with_telemetry_computes_the_cache_status_once(
+        self, tmp_path, capsys, journal_status_calls, monkeypatch
+    ):
+        """With --telemetry, the status computed for the journal_bytes gauge
+        is the one the campaign page reports: still one call."""
+        from repro.telemetry.metrics import MetricsRegistry
+
+        gauges = {}
+        set_gauge = MetricsRegistry.set_gauge
+
+        def recording_set_gauge(self, name, value, **labels):
+            gauges[name] = value
+            set_gauge(self, name, value, **labels)
+
+        monkeypatch.setattr(MetricsRegistry, "set_gauge", recording_set_gauge)
+        output_dir = tmp_path / "storage"
+        assert cli_main([
+            "campaign", "--scale", "0.1", "--output", str(output_dir),
+            "--telemetry",
+        ]) == 0
+        assert len(journal_status_calls) == 1
+        status = BuildCache.journal_status(CommonStorage.load(str(output_dir)))
+        page = (output_dir / "reports" / "campaign.html").read_text()
+        assert (
+            f"persisted build cache: {status['entries']} entries, "
+            f"{status['artifacts']} artifact payload(s), {status['bytes']:,} bytes"
+        ) in page
+        assert gauges["journal_bytes"] == status["bytes"]
+
     def test_cache_stats_without_journal_fails_cleanly(self, tmp_path, capsys):
         assert cli_main(["cache-stats", "--cache-dir", str(tmp_path)]) == 2
         assert "no persisted build cache" in capsys.readouterr().err
