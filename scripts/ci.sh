@@ -12,8 +12,8 @@
 #      pytest -x -q -m "not bench"; its determinism suites run both
 #      backends, and tests/test_tooling_ci.py carries the structural
 #      audits (history-ledger writes, scheduler clock, lifecycle, service
-#      and telemetry purity, the storage write path and bounded physics
-#      memos).
+#      and telemetry purity, the storage write path, the storage's dirty
+#      keys and bounded physics memos).
 #   3. work-count gate — scripts/work_counts.py runs every perfbench
 #      workload once at a tiny size, fails on a science mismatch or a
 #      failed operation, and prints the exact work counts (physics calls,
