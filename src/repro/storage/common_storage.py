@@ -350,8 +350,8 @@ def _is_html_document(document: object) -> bool:
     """True for the ``{"html": <str>}`` documents holding rendered pages."""
     return (
         isinstance(document, dict)
-        and len(document) == 1
-        and isinstance(document.get("html"), str)
+        and set(document) == {"html"}
+        and isinstance(document["html"], str)
     )
 
 

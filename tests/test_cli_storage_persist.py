@@ -246,10 +246,3 @@ class TestStorageReleasedOnReturn:
         worker._thread.join(timeout=5.0)
         assert not worker.alive
         assert worker.failures == 0
-
-    def test_a_live_daemon_still_cancels_through_the_handle(self):
-        service = ValidationService(SPSystem(), warm_start=False, dashboard=False)
-        submission = service.submit(
-            "alice", CampaignSpec(experiments=("HERMES",), configuration_keys=KEYS)
-        )
-        assert submission.cancel().status == "cancelled"
