@@ -213,11 +213,7 @@ class CommonStorage:
         """Total number of stored documents across all namespaces."""
         return sum(len(namespace) for namespace in self._namespaces.values())
 
-    def persist(
-        self,
-        directory: str,
-        mirror_namespaces: Optional[Iterable[str]] = None,
-    ) -> List[str]:
+    def persist(self, directory: str) -> List[str]:
         """Write the new or changed documents as JSON files below *directory*.
 
         Each document serialises to the bytes of one file.  A file that
@@ -243,12 +239,11 @@ class CommonStorage:
         relative links between persisted pages (``runpage_<id>.html``,
         ``../results/<key>.json``) resolve in a browser.
 
-        Namespaces named in *mirror_namespaces* (by default every namespace
-        registered through :func:`register_mirrored_namespace` — e.g. the
-        build cache's ``buildcache``) are persisted with mirror semantics:
-        leftover ``.json``/``.html`` files of documents that no longer
-        exist (e.g. the entry of an evicted build) are removed, so a later
-        :meth:`load` cannot resurrect them.  All other namespaces
+        Namespaces registered through :func:`register_mirrored_namespace`
+        (e.g. the build cache's ``buildcache``) are persisted with mirror
+        semantics: leftover ``.json``/``.html`` files of documents that no
+        longer exist (e.g. the entry of an evicted build) are removed, so a
+        later :meth:`load` cannot resurrect them.  All other namespaces
         accumulate: files persisted by earlier runs survive, which is how
         repeated campaigns against one output directory keep their
         combined run history browsable.
@@ -268,9 +263,6 @@ class CommonStorage:
         examples to leave a browsable copy of the storage behind; the
         library itself never requires disk access.
         """
-        mirrored = set(
-            MIRRORED_NAMESPACES if mirror_namespaces is None else mirror_namespaces
-        )
         target = os.path.abspath(directory)
         bound = target == self._directory
         written: List[str] = []
@@ -284,7 +276,7 @@ class CommonStorage:
                 path = os.path.join(target_dir, filename)
                 if _write_if_changed(path, _file_bytes(filename, document)):
                     written.append(path)
-            if namespace_name not in mirrored:
+            if namespace_name not in MIRRORED_NAMESPACES:
                 continue
             for filename in sorted(os.listdir(target_dir)):
                 if filename in expected:

@@ -65,8 +65,8 @@ def persist_checks(monkeypatch):
     persist = CommonStorage.persist
     files, mismatches = [], []
 
-    def checking_persist(self, directory, mirror_namespaces=None):
-        written = persist(self, directory, mirror_namespaces)
+    def checking_persist(self, directory):
+        written = persist(self, directory)
         copy = CommonStorage(namespaces=())
         for name in self.namespaces():
             namespace = copy.create_namespace(name)
@@ -74,7 +74,7 @@ def persist_checks(monkeypatch):
                 namespace.put(key, document)
         on_disk = _files(directory)
         with tempfile.TemporaryDirectory() as scratch:
-            persist(copy, scratch, mirror_namespaces)
+            persist(copy, scratch)
             expected = _files(scratch)
         mismatches.extend(
             (directory, path)
@@ -175,9 +175,9 @@ def _main_with_gc_disabled(argv):
         refs.append(weakref.ref(storage))
         return storage
 
-    def recording_persist(self, directory, mirror_namespaces=None):
+    def recording_persist(self, directory):
         refs.append(weakref.ref(self))
-        return persist(self, directory, mirror_namespaces)
+        return persist(self, directory)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(CommonStorage, "load", classmethod(recording_load))
