@@ -729,8 +729,6 @@ def _cmd_cache_stats(arguments: argparse.Namespace) -> int:
     from repro.reporting.summary import build_cache_rows, cache_journal_rows
     from repro.storage.artifacts import ArtifactStore
 
-    if not os.path.isdir(arguments.cache_dir):
-        raise ReproError(f"no such storage directory: {arguments.cache_dir}")
     storage = CommonStorage.load(
         arguments.cache_dir, namespaces=[BuildCache.NAMESPACE]
     )
@@ -762,8 +760,6 @@ def _load_history_ledger(storage_dir: str) -> ValidationHistoryLedger:
     """
     from repro._common import StorageError
 
-    if not os.path.isdir(storage_dir):
-        raise ReproError(f"no such storage directory: {storage_dir}")
     storage = CommonStorage.load(
         storage_dir, namespaces=[ValidationHistoryLedger.NAMESPACE]
     )
@@ -843,8 +839,6 @@ def _cmd_history_regressions(arguments: argparse.Namespace) -> int:
 
 def _load_intervention_store(storage_dir: str) -> "tuple[CommonStorage, InterventionStore]":
     """Mount the intervention tickets persisted below *storage_dir*."""
-    if not os.path.isdir(storage_dir):
-        raise ReproError(f"no such storage directory: {storage_dir}")
     storage = CommonStorage.load(
         storage_dir, namespaces=[InterventionStore.NAMESPACE]
     )
@@ -1001,8 +995,6 @@ def _cmd_submit_async(arguments: argparse.Namespace) -> int:
 
 
 def _cmd_queue_status(arguments: argparse.Namespace) -> int:
-    if not os.path.isdir(arguments.storage_dir):
-        raise ReproError(f"no such storage directory: {arguments.storage_dir}")
     storage = CommonStorage.load(
         arguments.storage_dir, namespaces=[SERVICE_NAMESPACE]
     )
@@ -1049,8 +1041,6 @@ def _cmd_queue_status(arguments: argparse.Namespace) -> int:
 
 
 def _cmd_queue_cancel(arguments: argparse.Namespace) -> int:
-    if not os.path.isdir(arguments.storage_dir):
-        raise ReproError(f"no such storage directory: {arguments.storage_dir}")
     storage = CommonStorage.load(
         arguments.storage_dir, namespaces=[SERVICE_NAMESPACE]
     )

@@ -479,6 +479,31 @@ class TestCommandLineInterface:
         ) in page
         assert gauges["journal_bytes"] == status["bytes"]
 
+    @pytest.mark.parametrize("command", [
+        ["cache-stats", "--cache-dir"],
+        ["history", "trends", "--storage-dir"],
+        ["history", "diff", "--from-campaign", "campaign-0001",
+         "--to-campaign", "campaign-0002", "--storage-dir"],
+        ["history", "regressions", "--storage-dir"],
+        ["interventions", "list", "--storage-dir"],
+        ["interventions", "resolve", "--ticket", "INT-0001",
+         "--resolution", "ported", "--storage-dir"],
+        ["queue", "status", "--storage-dir"],
+        ["queue", "cancel", "--submission", "sub-000001", "--storage-dir"],
+    ], ids=lambda command: "-".join(
+        word for word in command[:2] if not word.startswith("--")
+    ))
+    def test_a_missing_storage_directory_fails_cleanly(
+        self, tmp_path, capsys, command
+    ):
+        """Every command that reads a persisted storage needs it to exist."""
+        missing = str(tmp_path / "missing")
+        assert cli_main(command + [missing]) == 2
+        assert capsys.readouterr().err == (
+            f"error: no such storage directory: {missing}\n"
+        )
+        assert not os.path.exists(missing)
+
     def test_cache_stats_without_journal_fails_cleanly(self, tmp_path, capsys):
         assert cli_main(["cache-stats", "--cache-dir", str(tmp_path)]) == 2
         assert "no persisted build cache" in capsys.readouterr().err
@@ -562,13 +587,6 @@ class TestHistoryCli:
         error = capsys.readouterr().err
         assert "no validation history ledger" in error
         assert "--record-history" in error
-
-    def test_history_missing_directory_fails_cleanly(self, tmp_path, capsys):
-        assert cli_main([
-            "history", "regressions",
-            "--storage-dir", str(tmp_path / "missing"),
-        ]) == 2
-        assert "no such storage directory" in capsys.readouterr().err
 
     def test_history_diff_unknown_campaign_fails_cleanly(
         self, tmp_path, capsys
