@@ -535,56 +535,42 @@ def _cmd_campaign(arguments: argparse.Namespace) -> int:
             deadline_seconds=arguments.deadline_seconds,
             backend=arguments.backend,
         )
-    if arguments.cache_budget_mb is not None and (
-        arguments.no_cache or not spec.use_cache
-    ):
-        # Catches --no-cache and a --spec file with "use_cache": false alike:
-        # without the cache layer the budget would be a silent no-op.
-        raise ReproError(
-            "--cache-budget-mb conflicts with --no-cache (or a spec file "
-            "with \"use_cache\": false)"
-        )
+    # Each flag given wins over a --spec file's own value and is folded into
+    # the spec BEFORE submission: the persisted record must replay the
+    # campaign that actually ran.
+    overrides: Dict[str, object] = {}
     if arguments.cache_budget_mb is not None:
+        if arguments.no_cache or not spec.use_cache:
+            # Catches --no-cache and a --spec file with "use_cache": false
+            # alike: without the cache layer the budget would be a silent
+            # no-op.
+            raise ReproError(
+                "--cache-budget-mb conflicts with --no-cache (or a spec file "
+                "with \"use_cache\": false)"
+            )
         if not arguments.output:
             # The budget also caps the persisted cache; without --output
             # nothing is persisted, so honour the historical contract of
             # requiring one instead of silently applying half the flag.
             raise ReproError("--cache-budget-mb requires --output")
-        # Fold the override into the spec (winning over a --spec file's own
-        # budget) BEFORE submission: the persisted record must replay with
-        # the cache budget that was actually applied.
-        spec = CampaignSpec.from_dict(
-            dict(
-                spec.to_dict(),
-                cache_budget_bytes=int(arguments.cache_budget_mb * 1024 * 1024),
-            )
-        )
+        overrides["cache_budget_bytes"] = int(arguments.cache_budget_mb * 1024 * 1024)
     if arguments.no_cache:
-        # Folded into the spec for the same replayability reason.
-        spec = CampaignSpec.from_dict(dict(spec.to_dict(), use_cache=False))
+        overrides["use_cache"] = False
     if arguments.record_history:
         if not arguments.output:
             # Like --cache-budget-mb: the ledger exists for longitudinal
             # queries over the *persisted* storage; without --output the
             # recorded history would be silently discarded.
             raise ReproError("--record-history requires --output")
-        # Folded into the spec (winning over a --spec file's own value), so
-        # the persisted record replays with history recording on.
-        spec = CampaignSpec.from_dict(dict(spec.to_dict(), record_history=True))
+        overrides["record_history"] = True
     if arguments.on_deadline is not None:
-        # Folded into the spec (winning over a --spec file's own value), so
-        # the persisted record replays the same deadline semantics.
-        spec = CampaignSpec.from_dict(
-            dict(spec.to_dict(), on_deadline=arguments.on_deadline)
-        )
+        overrides["on_deadline"] = arguments.on_deadline
     if arguments.event_log is not None:
-        spec = CampaignSpec.from_dict(
-            dict(spec.to_dict(), event_log=arguments.event_log)
-        )
+        overrides["event_log"] = arguments.event_log
     if arguments.plugin:
-        spec = CampaignSpec.from_dict(
-            dict(spec.to_dict(), plugins=list(arguments.plugin))
-        )
+        overrides["plugins"] = list(arguments.plugin)
+    if overrides:
+        spec = CampaignSpec.from_dict(dict(spec.to_dict(), **overrides))
     if arguments.cache_dir and not spec.use_cache:
         # An *explicit* --cache-dir (as opposed to the --output default)
         # would be a silent no-op without the cache layer; refuse it like
