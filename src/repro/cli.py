@@ -35,13 +35,17 @@ fair-share scheduling (publishing heartbeat telemetry and the live
 ``reports/service.html`` dashboard), and ``queue`` inspects or cancels
 persisted submissions without provisioning a system.
 
-Every command provisions a fresh in-memory sp-system (the library is fully
-deterministic, so this is cheap and reproducible); ``--output`` persists the
-common storage to disk for inspection afterwards.  A ``campaign`` run whose
-``--cache-dir`` (default: ``--output``) holds a previous run's persisted
-storage warm-starts its build cache from that snapshot, so repeated
-campaigns against the same output directory stop recompiling unchanged
-packages.
+Commands that run validations provision a fresh in-memory sp-system (the
+library is fully deterministic, so this is cheap and reproducible) on the
+common storage they work on, and ``--output`` persists that storage to disk.
+``campaign`` opens ``--cache-dir`` (default: ``--output``) as its storage,
+reading only the previous runs' build cache, history ledger and intervention
+tickets, and persists it back into ``--output``: repeated campaigns against
+one output directory warm-start their build cache (so they stop recompiling
+unchanged packages), accumulate one history and write only what changed.
+``serve`` and ``submit-async`` open their ``--storage-dir`` the same way,
+creating it if needed; the commands that only inspect or edit a persisted
+storage need it to exist.
 """
 
 from __future__ import annotations
@@ -464,6 +468,21 @@ def _provisioned_system(
     return system
 
 
+def _open_storage(
+    directory: Optional[str], namespaces: Optional[List[str]] = None
+) -> CommonStorage:
+    """Load the storage persisted below *directory* (*namespaces* only, if
+    given), or start a fresh one where there is no such directory yet.
+
+    ``serve``, ``submit-async`` and ``campaign`` open their storage this way,
+    since each may create its directory; every other command needs an
+    existing one and calls :meth:`CommonStorage.load` directly.
+    """
+    if directory is not None and os.path.isdir(directory):
+        return CommonStorage.load(directory, namespaces=namespaces)
+    return CommonStorage()
+
+
 def _cmd_describe(arguments: argparse.Namespace) -> int:
     system = _provisioned_system(arguments.scale)
     description = system.describe()
@@ -521,8 +540,6 @@ def _load_spec_file(path: str) -> CampaignSpec:
 
 
 def _cmd_campaign(arguments: argparse.Namespace) -> int:
-    telemetry = Telemetry.create() if arguments.telemetry else None
-    system = _provisioned_system(arguments.scale, telemetry=telemetry)
     cache_dir = arguments.cache_dir or arguments.output
     if arguments.spec:
         spec = _load_spec_file(arguments.spec)
@@ -579,44 +596,43 @@ def _cmd_campaign(arguments: argparse.Namespace) -> int:
             "--cache-dir conflicts with --no-cache (or a spec file with "
             "\"use_cache\": false): there is no cache to warm-start"
         )
+    # The campaign runs on the previous campaigns' storage, reading only
+    # what it restores: their tickets, and their build cache and history
+    # ledger unless the effective spec turns those off (the persisted spec
+    # record must replay the same campaign).  Never their accumulated run
+    # documents and report pages.
     warm_start = spec.use_cache and spec.warm_start
-    mount_history = spec.record_history is not False
-    if cache_dir and os.path.isdir(cache_dir):
-        # One load of only the namespaces restored below: the previous
-        # campaigns' build cache, history ledger and tickets, never
-        # their accumulated run documents and report pages.
-        namespaces = [InterventionStore.NAMESPACE]
-        if warm_start:
-            namespaces.append(BuildCache.NAMESPACE)
-        if mount_history:
-            namespaces.append(ValidationHistoryLedger.NAMESPACE)
-        previous = CommonStorage.load(cache_dir, namespaces=namespaces)
-        if warm_start:
-            # Gated on the *effective* spec settings, so a --spec file
-            # disabling the cache or the warm start skips it — the
-            # persisted spec record must replay the same campaign.
-            restored = system.restore_build_cache(previous, missing_ok=True)
-            if restored is not None:
-                print(f"warm-started build cache: {len(restored)} entries from {cache_dir}")
-        if mount_history:
-            # Repeated campaigns against one --output accumulate one
-            # continuous history (and the record_history=None auto mode
-            # keeps recording).
-            mounted = system.restore_history(previous, missing_ok=True)
-            if mounted is not None:
-                print(
-                    f"mounted validation history: {len(mounted)} event(s) "
-                    f"from {cache_dir}"
-                )
-        # The regression alerter deduplicates against — instead of
-        # re-opening — the open tickets of earlier campaigns, and the
-        # persisted output carries them all.
-        mounted_store = system.restore_interventions(previous, missing_ok=True)
-        if mounted_store is not None:
-            print(
-                f"mounted {len(mounted_store.tickets())} intervention "
-                f"ticket(s) from {cache_dir}"
-            )
+    namespaces = [InterventionStore.NAMESPACE]
+    if warm_start:
+        namespaces.append(BuildCache.NAMESPACE)
+    if spec.record_history is not False:
+        namespaces.append(ValidationHistoryLedger.NAMESPACE)
+    telemetry = Telemetry.create() if arguments.telemetry else None
+    system = _provisioned_system(
+        arguments.scale,
+        storage=_open_storage(cache_dir, namespaces),
+        telemetry=telemetry,
+    )
+    if warm_start:
+        restored = system.restore_build_cache(missing_ok=True)
+        if restored is not None:
+            print(f"warm-started build cache: {len(restored)} entries from {cache_dir}")
+    if system.history is not None:
+        # Repeated campaigns against one --output accumulate one continuous
+        # history (and the record_history=None auto mode keeps recording).
+        print(
+            f"mounted validation history: {len(system.history)} event(s) "
+            f"from {cache_dir}"
+        )
+    # The regression alerter deduplicates against — instead of re-opening —
+    # the open tickets of earlier campaigns, and the persisted output
+    # carries them all.
+    mounted_store = system.restore_interventions(missing_ok=True)
+    if mounted_store is not None:
+        print(
+            f"mounted {len(mounted_store.tickets())} intervention "
+            f"ticket(s) from {cache_dir}"
+        )
     handle = system.submit(spec)
     campaign = handle.result()
     print(f"submitted {handle.campaign_id}: {handle.cells_completed}/"
@@ -886,16 +902,6 @@ def _parse_tenant_flag(text: str) -> TenantPolicy:
         raise ReproError(f"invalid --tenant flag {text!r}: {error}") from error
 
 
-def _load_service_storage(
-    storage_dir: str, namespaces: Optional[List[str]] = None
-) -> CommonStorage:
-    """Load a daemon's persisted storage (*namespaces* only, if given), or
-    start a fresh one where the directory does not exist yet."""
-    if os.path.isdir(storage_dir):
-        return CommonStorage.load(storage_dir, namespaces=namespaces)
-    return CommonStorage()
-
-
 def _print_service_tables(
     service: ValidationService, submissions: Optional[List] = None
 ) -> None:
@@ -915,7 +921,7 @@ def _print_service_tables(
 
 
 def _cmd_serve(arguments: argparse.Namespace) -> int:
-    storage = _load_service_storage(arguments.storage_dir)
+    storage = _open_storage(arguments.storage_dir)
     system = _provisioned_system(arguments.scale, storage=storage)
     service = ValidationService(
         system,
@@ -956,9 +962,7 @@ def _cmd_submit_async(arguments: argparse.Namespace) -> int:
     # costs the same however many results, reports and cache records the
     # directory holds.  No provisioning and no warm start: the next `serve`
     # run provisions a system and executes.
-    storage = _load_service_storage(
-        arguments.storage_dir, namespaces=[SERVICE_NAMESPACE]
-    )
+    storage = _open_storage(arguments.storage_dir, namespaces=[SERVICE_NAMESPACE])
     system = SPSystem(storage=storage)
     service = ValidationService(system, warm_start=False, dashboard=False)
     if arguments.spec:

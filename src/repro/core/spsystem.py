@@ -222,13 +222,8 @@ class SPSystem:
         # journal is replayed and the secondary indexes rebuilt, so
         # longitudinal queries and the record_history=None auto mode see
         # the inherited history from the first submission on.
-        self.history: Optional[ValidationHistoryLedger] = (
-            ValidationHistoryLedger(self.storage)
-            if ValidationHistoryLedger.exists_in(self.storage)
-            else None
-        )
-        if self.history is not None:
-            self._resume_ids_past_history()
+        self.history: Optional[ValidationHistoryLedger] = None
+        self.restore_history(missing_ok=True)
         # The lifecycle bus.  The system-level history recorder registers
         # first; per-submission plugins (spec.plugins, event sinks, abort
         # policies) are scoped onto the registry around each submit() and

@@ -15,6 +15,7 @@ linger until it does.
 import gc
 import json
 import os
+import re
 import tempfile
 import time
 import weakref
@@ -28,9 +29,12 @@ from repro.core.spsystem import SPSystem
 from repro.environment.evolution import EVENT_EXTERNAL_RELEASE, EnvironmentEvent
 from repro.environment.external import ExternalSoftwareCatalog
 from repro.experiments import build_hermes_experiment
+from repro.history import ValidationHistoryLedger
 from repro.plugins import InterventionStore
+from repro.scheduler.cache import BuildCache
 from repro.scheduler.spec import CampaignSpec
 from repro.service import ValidationService
+from repro.storage import common_storage
 from repro.storage.common_storage import CommonStorage
 
 KEYS = ("SL5_64bit_gcc4.4", "SL5_64bit_gcc4.1")
@@ -161,6 +165,86 @@ class TestPersistParityOverCliFlows:
         # interventions resolve; none of them persisted an empty storage.
         assert len(files) == 11
         assert min(files) > 0
+
+
+@pytest.fixture()
+def serialised_files(monkeypatch):
+    """``namespace/filename`` of every file ``persist`` serialises to
+    compare with its file, from here on."""
+    recorded = []
+    namespace_files = common_storage._namespace_files
+
+    def recording_namespace_files(namespace, present=None):
+        expected, candidates = namespace_files(namespace, present)
+        recorded.extend(f"{namespace.name}/{filename}" for filename, _ in candidates)
+        return expected, candidates
+
+    monkeypatch.setattr(common_storage, "_namespace_files", recording_namespace_files)
+    return recorded
+
+
+class TestCampaignOnItsLoadedStorage:
+    """``campaign`` runs on the storage it loads from ``--cache-dir``
+    (default ``--output``) instead of copying namespaces out of it."""
+
+    def test_a_second_night_leaves_its_unchanged_cache_documents_alone(
+        self, tmp_path, capsys, puts, serialised_files
+    ):
+        output = tmp_path / "output"
+        campaign = ["campaign", "--spec", _spec_file(tmp_path), "--output",
+                    str(output), "--scale", "0.1"]
+        assert cli_main(campaign) == 0
+        cache = output / BuildCache.NAMESPACE
+        before = {path.name: path.read_bytes() for path in cache.iterdir()}
+        puts.clear()
+        serialised_files.clear()
+        assert cli_main(campaign) == 0
+        assert "warm-started build cache" in capsys.readouterr().out
+        unchanged = {
+            f"{BuildCache.NAMESPACE}/{path.name}"
+            for path in cache.iterdir()
+            if before.get(path.name) == path.read_bytes()
+        }
+        # A warm night only hits: every entry and tarball stays as it was.
+        assert len(unchanged) > len(before) // 2
+        put_files = {f"{key}.json" for key in puts}
+        assert unchanged.isdisjoint(put_files)
+        assert unchanged.isdisjoint(serialised_files)
+
+    def test_another_cache_dir_is_read_and_never_written(
+        self, tmp_path, capsys, file_states
+    ):
+        source = str(tmp_path / "source")
+        _regression_story(source)
+        flags = ["--spec", _spec_file(tmp_path), "--scale", "0.1",
+                 "--record-history", "--plugin", "regression-alerts"]
+        assert cli_main(["campaign", "--output", source] + flags) == 0
+        before = file_states(source, backdate=True)
+        target = str(tmp_path / "target")
+        capsys.readouterr()
+        assert cli_main(
+            ["campaign", "--cache-dir", source, "--output", target] + flags
+        ) == 0
+        [campaign_id] = re.findall(r"^submitted (\S+):", capsys.readouterr().out, re.M)
+        assert file_states(source) == before
+
+        old, new = CommonStorage.load(source), CommonStorage.load(target)
+        entries = old.keys(BuildCache.NAMESPACE, prefix="cached_")
+        assert entries
+        assert set(entries) <= set(new.keys(BuildCache.NAMESPACE, prefix="cached_"))
+        old_events = [event.to_dict() for event in ValidationHistoryLedger.open(old).events()]
+        new_ledger = ValidationHistoryLedger.open(new)
+        new_events = [event.to_dict() for event in new_ledger.events()]
+        assert old_events and all(event in new_events for event in old_events)
+        old_tickets = {ticket.ticket_id for ticket in InterventionStore(old).tickets()}
+        assert old_tickets
+        assert old_tickets <= {ticket.ticket_id for ticket in InterventionStore(new).tickets()}
+        # Plus the new campaign's documents: its spec record, its events and
+        # the run documents they name.
+        assert new.exists(SPSystem.CAMPAIGNS_NAMESPACE, f"spec_{campaign_id}")
+        runs = [event.run_id for event in new_ledger.events_for_campaign(campaign_id)]
+        assert runs
+        assert all(new.exists("results", f"run_{run_id}") for run_id in runs)
 
 
 def _main_with_gc_disabled(argv):
