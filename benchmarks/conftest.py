@@ -1,11 +1,12 @@
 """Shared helpers for the benchmark harness.
 
-Every benchmark regenerates one table or figure of the paper (or one ablation
-described in DESIGN.md) and prints the corresponding rows/series, so that
-running ``pytest benchmarks/ --benchmark-only -s`` reproduces the content of
-the evaluation section.  The timing numbers reported by pytest-benchmark are
-secondary; the printed rows are the reproduction artefact and are also
-collected into ``benchmarks/_results/`` as JSON for EXPERIMENTS.md.
+Every benchmark regenerates one table or figure of the paper (or one
+ablation) and prints the corresponding rows/series, so that running
+``pytest benchmarks/ --benchmark-only -s`` reproduces the content of the
+evaluation section.  The timing numbers reported by pytest-benchmark are
+secondary; the printed rows are the reproduction artefact.  They are also
+written below ``benchmarks/_results/``, which git ignores: a local run leaves
+the tables behind to inspect without changing the tracked tree.
 """
 
 from __future__ import annotations
