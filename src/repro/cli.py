@@ -475,8 +475,9 @@ def _open_storage(
     given), or start a fresh one where there is no such directory yet.
 
     ``serve``, ``submit-async`` and ``campaign`` open their storage this way,
-    since each may create its directory; every other command needs an
-    existing one and calls :meth:`CommonStorage.load` directly.
+    since each may create its directory; the commands that only read or
+    edit a persisted storage call :meth:`CommonStorage.load`, which fails on
+    a missing directory.
     """
     if directory is not None and os.path.isdir(directory):
         return CommonStorage.load(directory, namespaces=namespaces)
